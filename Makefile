@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race bench-concurrent bench bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke bench-repl bench-latency ci
+.PHONY: build vet lint test race bench-concurrent bench bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke bench-repl bench-latency perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -75,8 +75,7 @@ shard-smoke:
 	bash scripts/shard_smoke.sh
 
 # Recovery-reopen benchmark smoke: seeds a durable window, reopens it via the
-# serial/incremental restore path and the parallel-decode + STR bulk-load
-# path, and asserts both rows complete.
+# parallel-decode + STR bulk-load path, and asserts the row completes.
 bench-recovery:
 	bash scripts/recovery_smoke.sh
 
@@ -102,6 +101,12 @@ repl-smoke:
 semisync-smoke:
 	bash scripts/semisync_smoke.sh
 
+# The benchmark under perfbench/ is its own Go module, so the root
+# `go vet ./...` and `go test ./...` never build it: vet and test it here, so
+# a library change that breaks it fails CI instead of the benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Replication push A/B (semisync k=1 vs async, loopback follower) appended
 # to BENCH_ingest.json. Label it after the change being measured.
 bench-repl:
@@ -117,4 +122,4 @@ bench-latency:
 	$(GO) run ./cmd/pskyload -mode sharded -batch 16 -rates 5000,10000,20000 -out BENCH_latency.json -label "$(BENCH_LABEL)-sharded"
 	$(GO) run ./cmd/pskyload -mode sync -no-latency -rates 10000 -out BENCH_latency.json -label "$(BENCH_LABEL)-control"
 
-ci: build lint test race bench-concurrent bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke
+ci: build lint test race perfbench-test bench-concurrent bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke

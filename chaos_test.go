@@ -49,7 +49,7 @@ func TestChaosFailStop(t *testing.T) {
 	els := durStream(41, 200, 3, 1)
 	pushAll(t, m, els[:50])
 
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Effect: vfs.Effect{Err: syscall.EIO}})
 	_, err := m.Push(els[50])
 	if !errors.Is(err, wal.ErrDetached) {
 		t.Fatalf("push after disk death: %v, want ErrDetached", err)
@@ -103,9 +103,9 @@ func TestChaosRetryDifferential(t *testing.T) {
 			// mid-record. The retry budget (6) makes a permanent-looking run
 			// of failures astronomically unlikely — and the seed makes the
 			// whole schedule reproducible.
-			fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Prob: 0.10, Err: syscall.EIO, Partial: 5})
-			fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Prob: 0.05, Err: syscall.ENOSPC})
-			fi.Inject(vfs.Rule{Op: vfs.OpSync, Times: -1, Prob: 0.15, Err: syscall.EIO})
+			fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Prob: 0.10, Partial: 5, Effect: vfs.Effect{Err: syscall.EIO}})
+			fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Prob: 0.05, Effect: vfs.Effect{Err: syscall.ENOSPC}})
+			fi.Inject(vfs.Rule{Op: vfs.OpSync, Times: -1, Prob: 0.15, Effect: vfs.Effect{Err: syscall.EIO}})
 
 			m := mustOpen(t, chaosOpt(dir, "retry", fi))
 			els := durStream(int64(61+trial), 400, 3, 1)
@@ -155,7 +155,7 @@ func TestChaosShedReattach(t *testing.T) {
 	els := durStream(43, 400, 3, 1)
 	pushAll(t, m, els[:100])
 
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Effect: vfs.Effect{Err: syscall.EIO}})
 	pushAll(t, m, els[100:300]) // every push must succeed — durability is shed
 	if m.WALState() != wal.StateDegraded {
 		t.Fatalf("state %v, want degraded", m.WALState())
@@ -212,7 +212,7 @@ func TestChaosShedStaysDegradedWhileSick(t *testing.T) {
 	els := durStream(47, 120, 3, 1)
 	pushAll(t, m, els[:40])
 
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Effect: vfs.Effect{Err: syscall.EIO}})
 	pushAll(t, m, els[40:])
 	if m.WALState() != wal.StateDegraded {
 		t.Fatalf("state %v, want degraded", m.WALState())
@@ -240,7 +240,7 @@ func TestChaosNoGoroutineLeaks(t *testing.T) {
 		m := mustOpen(t, opt)
 		els := durStream(int64(71+i), 200, 3, 1)
 		pushAll(t, m, els[:100])
-		fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Err: syscall.EIO})
+		fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Effect: vfs.Effect{Err: syscall.EIO}})
 		pushAll(t, m, els[100:])
 		m.Drain()
 		if err := m.Close(); err != nil {

@@ -152,18 +152,19 @@ type arrival struct {
 // arrival → completion) plus the monitor's internal visibility view when
 // available. All durations are milliseconds.
 type rateResult struct {
-	Label    string  `json:"label"`
-	Mode     string  `json:"mode"`
-	Tracking bool    `json:"latency_tracking"`
-	Dist     string  `json:"dist"`
-	Dims     int     `json:"dims"`
-	Window   int     `json:"window"`
-	Batch    int     `json:"batch"`
-	Workers  int     `json:"workers"`
-	Shards   int     `json:"shards,omitempty"`
-	Async    int     `json:"async,omitempty"`
-	Offered  float64 `json:"offered_rate"`
-	Achieved float64 `json:"achieved_rate"`
+	Label    string `json:"label"`
+	Mode     string `json:"mode"`
+	Tracking bool   `json:"latency_tracking"`
+	Dist     string `json:"dist"`
+	Dims     int    `json:"dims"`
+	Window   int    `json:"window"`
+	Batch    int    `json:"batch"`
+	Workers  int    `json:"workers"`
+	Shards   int    `json:"shards,omitempty"`
+	Async    int    `json:"async,omitempty"`
+	// Offered and ElemsPS are both in elements per second: the offered
+	// rate, and the completed rate over the span of completions.
+	Offered float64 `json:"offered_rate"`
 
 	Scheduled int `json:"scheduled"`
 	Completed int `json:"completed"`
@@ -307,8 +308,7 @@ func runRate(s sink, cfg config, rate float64) rateResult {
 		res.P999Ms = ms(quantile(samples, 0.999))
 		res.MaxMs = ms(samples[len(samples)-1])
 		if span := lastEnd.Sub(firstEnd); span > 0 {
-			res.Achieved = float64(res.Completed) / span.Seconds()
-			res.ElemsPS = res.Achieved * float64(cfg.batch)
+			res.ElemsPS = float64(res.Completed*cfg.batch) / span.Seconds()
 		}
 	}
 	if lm := s.visible(); lm != nil {

@@ -117,6 +117,36 @@ func TestSweepInprocModes(t *testing.T) {
 	}
 }
 
+// TestRateUnitsBatched pins the rate units at batch > 1: offered_rate and
+// elems_per_sec are both elements per second, so a sustainable offered rate
+// is what the row reports achieved (a batches/s figure would read 16x low).
+func TestRateUnitsBatched(t *testing.T) {
+	cfg := testConfig()
+	cfg.mode = "sharded"
+	cfg.batch = 16
+	cfg.dur = time.Second
+	s, err := newSink(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	const rate = 2000.0 // 125 batches/s
+	r := runRate(s, cfg, rate)
+	if r.Dropped != 0 || r.Completed != r.Scheduled {
+		t.Fatalf("accounting: scheduled=%d completed=%d dropped=%d", r.Scheduled, r.Completed, r.Dropped)
+	}
+	if r.Offered != rate || r.ElemsPS < rate/1.5 || r.ElemsPS > rate*1.5 {
+		t.Fatalf("offered_rate=%.0f elems_per_sec=%.0f: want elems_per_sec within 1.5x of the offered rate", r.Offered, r.ElemsPS)
+	}
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "achieved_rate") {
+		t.Fatalf("row still carries a requests/s achieved_rate: %s", raw)
+	}
+}
+
 func TestSweepNoLatencyControl(t *testing.T) {
 	cfg := testConfig()
 	cfg.noLat = true

@@ -77,17 +77,6 @@ type Durability struct {
 	// reattach the log (0 selects DefaultReattachEvery).
 	ReattachEvery time.Duration
 
-	// RecoveryWorkers sets how many workers decode WAL segments in parallel
-	// during Open's recovery replay (0 selects GOMAXPROCS; 1 forces the
-	// serial scan — the A/B control for recovery benchmarks). Records are
-	// always re-ingested in exact log order regardless of worker count;
-	// only the CPU-bound decode fans out.
-	RecoveryWorkers int
-	// IncrementalRestore rebuilds the checkpointed band trees by inserting
-	// elements one at a time instead of STR bulk loading — the A/B control
-	// for recovery benchmarks. The restored state answers every query
-	// identically; only tree shape and restore time differ.
-	IncrementalRestore bool
 	// Progress, when non-nil, is updated live while Open replays the log,
 	// so a health endpoint can report recovery progress from another
 	// goroutine. Allocate one RecoveryProgress per Open.
@@ -176,10 +165,11 @@ type RecoveryInfo struct {
 // through the exact ingestion path used live, so the recovered state is
 // byte-identical to the state the uninterrupted monitor had after its last
 // committed push. Checkpointed band trees are rebuilt bottom-up with STR
-// bulk loading and log segments are decoded by parallel workers (see
-// Durability.RecoveryWorkers / IncrementalRestore for the serial controls),
-// so reopening a large window costs seconds, not minutes. Recovery suppresses OnEnter/OnLeave/OnTopK callbacks — the
-// transitions were already reported before the crash.
+// bulk loading and log segments are decoded by GOMAXPROCS parallel workers
+// (records are still re-ingested in exact log order), so reopening a large
+// window costs seconds, not minutes. Recovery suppresses
+// OnEnter/OnLeave/OnTopK callbacks — the transitions were already reported
+// before the crash.
 //
 // The caller must pass the same core Options (Dims, Window/Period,
 // Thresholds, MaxEntries) on every Open of the same directory: the WAL logs
@@ -300,15 +290,11 @@ func Open(opt Options) (*Monitor, error) {
 	// shard's subsequence of the globally numbered stream — so only
 	// regressions (records behind the engine) are rejected.
 	m.replaying = true
-	workers := d.RecoveryWorkers
-	if workers < 0 {
-		workers = 1
-	}
 	var wp *wal.ReplayProgress
 	if d.Progress != nil {
 		wp = &d.Progress.p
 	}
-	replayed, rerr := w.ReplayParallel(m.eng.NextSeq(), workers, wp, func(r wal.Record) error {
+	replayed, rerr := w.ReplayParallel(m.eng.NextSeq(), 0, wp, func(r wal.Record) error {
 		want := m.eng.NextSeq()
 		if m.opts.shard != nil {
 			if r.Seq < want {

@@ -494,17 +494,14 @@ func Ingest(cfg IngestConfig, w io.Writer) IngestRun {
 	}
 	// Recovery reopen: pskyline.Open against a directory whose checkpoint
 	// holds a full steady-state window (clean shutdown, empty log tail), so
-	// the rows isolate what recovery optimization can change — checkpoint
+	// the row isolates what recovery optimization can change — checkpoint
 	// decode plus band-tree reconstruction. ns/op is per reopen, not per
-	// element. The serial row pins the pre-optimization path (one WAL decode
-	// worker, incremental tree inserts) as the same-machine A/B control for
-	// the STR bulk-load + parallel decode recovery in the fast row.
+	// element.
 	recWindow := 10 * window
 	if dir, err := seedRecoverDir(recWindow); err != nil {
 		fmt.Fprintf(w, "  recover: seed failed: %v\n", err)
 	} else {
-		add(fmt.Sprintf("recover/d=%d/w=%d/serial", recoverDims, recWindow), benchRecover(recWindow, dir, true))
-		add(fmt.Sprintf("recover/d=%d/w=%d/fast", recoverDims, recWindow), benchRecover(recWindow, dir, false))
+		add(fmt.Sprintf("recover/d=%d/w=%d/fast", recoverDims, recWindow), benchRecover(recWindow, dir))
 		os.RemoveAll(dir)
 	}
 	return run
@@ -523,7 +520,7 @@ func seedRecoverDir(window int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	m, err := pskyline.Open(recoverOptions(window, dir, false))
+	m, err := pskyline.Open(recoverOptions(window, dir))
 	if err != nil {
 		os.RemoveAll(dir)
 		return "", err
@@ -562,30 +559,24 @@ func seedRecoverDir(window int) (string, error) {
 	}
 	// Release the seed run's heap before the reopen measurements: the
 	// 2×window ingest leaves pool arenas and GC debt behind that would
-	// otherwise be charged to whichever recover row runs first.
+	// otherwise be charged to the recover row.
 	runtime.GC()
 	return dir, nil
 }
 
-func recoverOptions(window int, dir string, serial bool) pskyline.Options {
-	opt := pskyline.Options{
+func recoverOptions(window int, dir string) pskyline.Options {
+	return pskyline.Options{
 		Dims: recoverDims, Window: window, Thresholds: []float64{ingestQ},
 		Durability: pskyline.Durability{
 			Dir: dir, Fsync: "never", CheckpointEvery: -1, SegmentBytes: 1 << 20,
 		},
 	}
-	if serial {
-		opt.Durability.RecoveryWorkers = 1
-		opt.Durability.IncrementalRestore = true
-	}
-	return opt
 }
 
 // benchRecover measures one full pskyline.Open of the seeded directory per
 // op (Close runs with the timer stopped).
-func benchRecover(window int, dir string, serial bool) testing.BenchmarkResult {
-	opt := recoverOptions(window, dir, serial)
-	runtime.GC() // both rows start from the same heap state
+func benchRecover(window int, dir string) testing.BenchmarkResult {
+	opt := recoverOptions(window, dir)
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

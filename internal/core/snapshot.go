@@ -107,8 +107,8 @@ type RestoreOptions struct {
 	Metrics *Metrics
 	// IncrementalRestore rebuilds the band trees by inserting the
 	// checkpointed elements one at a time through the regular insertion
-	// path instead of STR bulk-loading — the A/B control for recovery
-	// benchmarks and the differential tests. The resulting engines answer
+	// path instead of STR bulk-loading — the reference the bulk-load
+	// differential tests compare against. The resulting engines answer
 	// every query identically; only the tree shape (and restore time)
 	// differs.
 	IncrementalRestore bool

@@ -1,6 +1,6 @@
 // Package netfault is a deterministic, seeded fault-injection seam for
-// network connections — the internal/vfs fault injector transplanted to the
-// transport layer. A wrapped net.Conn (or a faulted dialer) passes every
+// network connections — the transport-layer twin of internal/vfs, sharing
+// its schedule language and matcher (internal/fault). A wrapped net.Conn (or a faulted dialer) passes every
 // dial, read and write through a schedule of rules that can add latency,
 // throttle bandwidth, tear a write mid-frame, reset the connection, or
 // blackhole the operation entirely (a partition: the call blocks until the
@@ -15,12 +15,13 @@ package netfault
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"pskyline/internal/fault"
 )
 
 // Op names one connection operation class for fault matching.
@@ -30,7 +31,6 @@ const (
 	OpDial Op = iota
 	OpRead
 	OpWrite
-	opCount
 )
 
 var opNames = [...]string{OpDial: "dial", OpRead: "read", OpWrite: "write"}
@@ -40,16 +40,6 @@ func (o Op) String() string {
 		return opNames[o]
 	}
 	return "op?"
-}
-
-// ParseOp parses an operation name as used in fault schedule specs.
-func ParseOp(s string) (Op, error) {
-	for op, name := range opNames {
-		if name == s {
-			return Op(op), nil
-		}
-	}
-	return 0, fmt.Errorf("netfault: unknown op %q", s)
 }
 
 // ErrKind selects the failure a fired rule injects. The zero value injects
@@ -74,29 +64,9 @@ const (
 
 var errKindNames = map[ErrKind]string{ErrReset: "reset", ErrTimeout: "timeout", ErrBlackhole: "blackhole"}
 
-func parseErrKind(s string) (ErrKind, error) {
-	for k, name := range errKindNames {
-		if name == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("netfault: unknown err=%q (want reset, timeout or blackhole)", s)
-}
-
-// Rule is one fault in a schedule: it arms after After matching operations
-// have passed through and then fires Times times (0 is treated as once,
-// -1 = forever). Prob, when in (0,1), fires the rule probabilistically
-// instead (seeded, deterministic) on each matching call past After. PerConn
-// scopes the seen/fired counters to each wrapped connection, so "the second
-// write of every session" is expressible; the default counts globally across
-// the injector.
-type Rule struct {
-	Op      Op
-	After   int     // matching calls to skip before the rule arms
-	Times   int     // times to fire once armed; 0 = once, -1 = forever
-	Prob    float64 // probabilistic firing in (0,1); seeded
-	PerConn bool    // per-connection (not global) After/Times counters
-
+// Effect is a network rule's own part: what a fired rule does to the
+// operation, and how its arming counters are scoped.
+type Effect struct {
 	// Delay: ErrNone sleeps this long before the operation proceeds
 	// (latency); ErrBlackhole bounds the stall — the partition resolves
 	// into a timeout after Delay even without a deadline, which makes
@@ -105,79 +75,96 @@ type Rule struct {
 	// Rate throttles: the operation sleeps len(p)/Rate seconds (bytes per
 	// second) before proceeding. Read/write only.
 	Rate int
-	// Partial (writes only): bytes flushed through before the error
-	// surfaces — a torn mid-frame write.
-	Partial int
 	// Err is the injected failure; ErrNone makes the rule pure latency or
 	// throttle.
 	Err ErrKind
-
-	seen  int // matching calls observed (global scope)
-	fired int
+	// PerConn scopes the rule's After/Times counters to each wrapped
+	// connection, so "the second write of every session" is expressible;
+	// the default counts globally across the injector.
+	PerConn bool
 }
 
-// render writes the rule in canonical schedule syntax (the inverse of
-// ParseSchedule, field order fixed).
-func (r *Rule) render(b *strings.Builder) {
-	b.WriteString(r.Op.String())
-	if r.After > 0 {
-		fmt.Fprintf(b, ":after=%d", r.After)
-	}
-	if r.Times != 0 {
-		fmt.Fprintf(b, ":times=%d", r.Times)
-	}
-	if r.Prob > 0 {
-		fmt.Fprintf(b, ":p=%s", strconv.FormatFloat(r.Prob, 'g', -1, 64))
-	}
-	if r.Delay > 0 {
-		fmt.Fprintf(b, ":delay=%s", r.Delay)
-	}
-	if r.Rate > 0 {
-		fmt.Fprintf(b, ":rate=%d", r.Rate)
-	}
-	if r.Partial > 0 {
-		fmt.Fprintf(b, ":partial=%d", r.Partial)
-	}
-	if r.Err != ErrNone {
-		fmt.Fprintf(b, ":err=%s", errKindNames[r.Err])
-	}
-	if r.PerConn {
-		b.WriteString(":per=conn")
-	}
-}
+// Rule is one fault in a network schedule (see fault.Rule for the arming
+// fields; Partial is the torn-write prefix of a failing write).
+type Rule = fault.Rule[Op, Effect]
 
-// verdict is one operation's resolved fate.
-type verdict struct {
-	delay   time.Duration
-	kind    ErrKind
-	partial int
+// grammar is the -repl-fault part of the shared schedule language.
+var grammar = fault.Grammar[Op, Effect]{
+	Name:  "netfault",
+	Ops:   opNames[:],
+	Write: OpWrite,
+	Field: func(e *Effect, k, v string) error {
+		var err error
+		switch k {
+		case "delay":
+			if e.Delay, err = time.ParseDuration(v); err != nil || e.Delay < 0 {
+				return fmt.Errorf("bad delay=%q", v)
+			}
+		case "rate":
+			if e.Rate, err = strconv.Atoi(v); err != nil || e.Rate <= 0 {
+				return fmt.Errorf("bad rate=%q", v)
+			}
+		case "err":
+			for kind, name := range errKindNames {
+				if name == v {
+					e.Err = kind
+					return nil
+				}
+			}
+			return fmt.Errorf("unknown err=%q (want reset, timeout or blackhole)", v)
+		case "per":
+			if v != "conn" {
+				return fmt.Errorf("bad per=%q (want conn)", v)
+			}
+			e.PerConn = true
+		default:
+			return fmt.Errorf("unknown rule field %q", k)
+		}
+		return nil
+	},
+	Vet: func(r *Rule) error {
+		e := &r.Effect
+		switch {
+		case e.Delay == 0 && e.Rate == 0 && e.Err == ErrNone:
+			return errors.New("rule has no effect (want delay, rate or err)")
+		case r.Partial > 0 && e.Err == ErrNone:
+			return errors.New("partial requires an err")
+		case e.Rate > 0 && r.Op == OpDial:
+			return errors.New("rate applies only to read/write")
+		}
+		return nil
+	},
+	Render: func(b *strings.Builder, e *Effect) {
+		if e.Delay > 0 {
+			b.WriteString(":delay=" + e.Delay.String())
+		}
+		if e.Rate > 0 {
+			b.WriteString(":rate=" + strconv.Itoa(e.Rate))
+		}
+		if e.Err != ErrNone {
+			b.WriteString(":err=" + errKindNames[e.Err])
+		}
+		if e.PerConn {
+			b.WriteString(":per=conn")
+		}
+	},
+	Fails: func(e *Effect) bool { return e.Err != ErrNone },
 }
 
 // Injector injects faults into connections according to a deterministic,
-// seeded schedule of rules. Safe for concurrent use; serialization under one
-// mutex also makes the schedule deterministic for single-writer callers.
+// seeded schedule of rules. Safe for concurrent use; serialization of the
+// schedule also makes it deterministic for single-writer callers.
 type Injector struct {
+	*fault.Plan[Op, Effect]
+
 	mu     sync.Mutex
-	rng    *rand.Rand
-	rules  []*Rule
 	healCh chan struct{} // closed (and replaced) by Clear: wakes blackholes
-	counts [opCount]int
-	errs   [opCount]int
 }
 
 // New returns an injector with an empty schedule. seed drives the
 // probabilistic rules; equal seeds give equal schedules.
 func New(seed int64) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), healCh: make(chan struct{})}
-}
-
-// Inject adds a rule to the schedule. The rule is copied; later mutation of
-// the argument has no effect.
-func (f *Injector) Inject(r Rule) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rc := r
-	f.rules = append(f.rules, &rc)
+	return &Injector{Plan: fault.New(&grammar, seed), healCh: make(chan struct{})}
 }
 
 // Clear drops every rule (the network "heals") and releases any operation
@@ -185,91 +172,20 @@ func (f *Injector) Inject(r Rule) {
 func (f *Injector) Clear() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.rules = nil
+	f.Plan.Clear()
 	close(f.healCh)
 	f.healCh = make(chan struct{})
 }
 
-// Schedule renders the current rules in canonical ParseSchedule syntax.
-func (f *Injector) Schedule() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var b strings.Builder
-	for i, r := range f.rules {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		r.render(&b)
+// check records one operation against the schedule and returns the rule
+// that fires on it, its Delay extended by the Rate throttle for a payload of
+// size bytes. scope carries the per-connection counters (nil for dials).
+func (f *Injector) check(op Op, scope *connScope, size int) (Rule, bool) {
+	r, ok := f.Fire(op, scope.match)
+	if ok && r.Effect.Rate > 0 && size > 0 {
+		r.Effect.Delay += time.Duration(float64(size) / float64(r.Effect.Rate) * float64(time.Second))
 	}
-	return b.String()
-}
-
-// Count returns how many operations of class op have been issued.
-func (f *Injector) Count(op Op) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.counts[op]
-}
-
-// Errors returns how many operations of class op were failed by a rule.
-func (f *Injector) Errors(op Op) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.errs[op]
-}
-
-// ErrorsTotal returns the total number of injected failures.
-func (f *Injector) ErrorsTotal() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, e := range f.errs {
-		n += e
-	}
-	return n
-}
-
-// check records one operation against the schedule and resolves its fate.
-// scope carries the per-connection counters (nil for dials). size is the
-// payload length for throttle computation.
-func (f *Injector) check(op Op, scope *connScope, size int) (verdict, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.counts[op]++
-	for _, r := range f.rules {
-		if r.Op != op {
-			continue
-		}
-		seen, fired := &r.seen, &r.fired
-		if r.PerConn && scope != nil {
-			st := scope.state(r)
-			seen, fired = &st.seen, &st.fired
-		}
-		*seen++
-		if *seen <= r.After {
-			continue
-		}
-		limit := r.Times
-		if limit == 0 {
-			limit = 1
-		}
-		if limit > 0 && *fired >= limit {
-			continue
-		}
-		if r.Prob > 0 && r.Prob < 1 && f.rng.Float64() >= r.Prob {
-			continue
-		}
-		*fired++
-		if r.Err != ErrNone {
-			f.errs[op]++
-		}
-		v := verdict{delay: r.Delay, kind: r.Err, partial: r.Partial}
-		if r.Rate > 0 && size > 0 {
-			v.delay += time.Duration(float64(size) / float64(r.Rate) * float64(time.Second))
-		}
-		return v, true
-	}
-	return verdict{}, false
+	return r, ok
 }
 
 // heal returns the channel closed by the next Clear.
@@ -294,24 +210,26 @@ var ErrInjectedReset = errors.New("netfault: injected connection reset")
 
 // Conn ----------------------------------------------------------------------
 
-// connScope holds one connection's per-rule counters (Rule.PerConn).
+// connScope holds one connection's per-rule counters (Effect.PerConn).
 type connScope struct {
-	states map[*Rule]*ruleState
+	states map[*Rule]*fault.Counts
 }
 
-type ruleState struct{ seen, fired int }
-
-// state returns r's counters in this scope; callers hold the injector mutex.
-func (s *connScope) state(r *Rule) *ruleState {
+// match arms PerConn rules on this connection's counters. Called by the
+// schedule under its mutex; a nil scope (a dial) keeps every rule global.
+func (s *connScope) match(r *Rule) (bool, *fault.Counts) {
+	if s == nil || !r.Effect.PerConn {
+		return true, nil
+	}
 	if s.states == nil {
-		s.states = make(map[*Rule]*ruleState)
+		s.states = make(map[*Rule]*fault.Counts)
 	}
-	st := s.states[r]
-	if st == nil {
-		st = &ruleState{}
-		s.states[r] = st
+	c := s.states[r]
+	if c == nil {
+		c = &fault.Counts{}
+		s.states[r] = c
 	}
-	return st
+	return true, c
 }
 
 // Conn wraps a net.Conn so reads and writes pass through the schedule. It
@@ -425,7 +343,7 @@ func (c *Conn) blackhole(op Op, bound time.Duration, deadline time.Time) error {
 func (c *Conn) Read(p []byte) (int, error) {
 	v, ok := c.f.check(OpRead, &c.scope, len(p))
 	if ok {
-		if err := c.resolve(OpRead, v, nil); err != nil {
+		if err := c.resolve(OpRead, v); err != nil {
 			return 0, err
 		}
 	}
@@ -435,12 +353,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 func (c *Conn) Write(p []byte) (int, error) {
 	v, ok := c.f.check(OpWrite, &c.scope, len(p))
 	if ok {
-		if err := c.resolve(OpWrite, v, p); err != nil {
+		if err := c.resolve(OpWrite, v); err != nil {
 			n := 0
-			if v.partial > 0 && v.partial < len(p) && !errors.Is(err, net.ErrClosed) {
+			if v.Partial > 0 && v.Partial < len(p) && !errors.Is(err, net.ErrClosed) {
 				// Torn write: a prefix of the frame reaches the wire
 				// before the failure surfaces.
-				n, _ = c.Conn.Write(p[:v.partial])
+				n, _ = c.Conn.Write(p[:v.Partial])
 			}
 			if errors.Is(err, ErrInjectedReset) {
 				c.Conn.Close() // the peer observes the break
@@ -451,16 +369,15 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// resolve applies a fired rule's verdict: sleep for latency/throttle, then
-// block or fail per the error kind. A nil return means the real operation
-// proceeds.
-func (c *Conn) resolve(op Op, v verdict, _ []byte) error {
+// resolve applies a fired rule: sleep for latency/throttle, then block or
+// fail per the error kind. A nil return means the real operation proceeds.
+func (c *Conn) resolve(op Op, v Rule) error {
 	deadline := c.deadline(op)
-	switch v.kind {
+	switch v.Effect.Err {
 	case ErrNone:
-		return c.sleep(op, v.delay, deadline)
+		return c.sleep(op, v.Effect.Delay, deadline)
 	case ErrBlackhole:
-		return c.blackhole(op, v.delay, deadline)
+		return c.blackhole(op, v.Effect.Delay, deadline)
 	case ErrTimeout:
 		return &timeoutError{op: op}
 	case ErrReset:
@@ -474,15 +391,15 @@ func (c *Conn) resolve(op Op, v verdict, _ []byte) error {
 // returned connection is wrapped so read/write rules apply to the session.
 func (f *Injector) Dial(network, addr string, timeout time.Duration) (net.Conn, error) {
 	if v, ok := f.check(OpDial, nil, 0); ok {
-		switch v.kind {
+		switch v.Effect.Err {
 		case ErrReset:
 			return nil, fmt.Errorf("netfault: injected dial fault: %w", ErrInjectedReset)
 		case ErrTimeout:
 			return nil, &timeoutError{op: OpDial}
 		case ErrBlackhole:
 			wait := timeout
-			if v.delay > 0 && v.delay < wait {
-				wait = v.delay
+			if v.Effect.Delay > 0 && v.Effect.Delay < wait {
+				wait = v.Effect.Delay
 			}
 			healed := f.heal()
 			t := time.NewTimer(wait)
@@ -493,9 +410,7 @@ func (f *Injector) Dial(network, addr string, timeout time.Duration) (net.Conn, 
 				return nil, &timeoutError{op: OpDial}
 			}
 		default:
-			if v.delay > 0 {
-				time.Sleep(v.delay)
-			}
+			time.Sleep(v.Effect.Delay)
 		}
 	}
 	c, err := net.DialTimeout(network, addr, timeout)
@@ -506,11 +421,11 @@ func (f *Injector) Dial(network, addr string, timeout time.Duration) (net.Conn, 
 }
 
 // ParseSchedule builds an injector from a compact schedule spec — the
-// -repl-fault CLI syntax, mirroring internal/vfs.ParseSchedule. The spec is
-// a semicolon-separated list of rules; each rule is colon-separated fields
-// starting with the op name (dial, read or write):
+// -repl-fault CLI syntax, in the language fault.Parse describes. The
+// network's ops are dial, read and write; its own fields are delay, rate,
+// err and per:
 //
-//	op[:after=N][:times=M][:p=F][:delay=D][:rate=B][:partial=K][:err=reset|timeout|blackhole][:per=conn]
+//	op[:after=N][:times=M][:p=F][:partial=K][:delay=D][:rate=B][:err=reset|timeout|blackhole][:per=conn]
 //
 // Examples:
 //
@@ -520,73 +435,12 @@ func (f *Injector) Dial(network, addr string, timeout time.Duration) (net.Conn, 
 //	dial:delay=150ms:times=-1                    every dial pays 150ms latency
 //	write:rate=65536:times=-1                    writes throttled to 64 KiB/s
 //
-// A rule must have an effect: at least one of delay, rate or err.
+// A rule must have an effect: at least one of delay, rate or err. partial
+// requires an err, and rate does not apply to dial.
 func ParseSchedule(seed int64, spec string) (*Injector, error) {
-	f := New(seed)
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.Split(part, ":")
-		op, err := ParseOp(strings.TrimSpace(fields[0]))
-		if err != nil {
-			return nil, err
-		}
-		r := Rule{Op: op}
-		for _, fld := range fields[1:] {
-			k, v, ok := strings.Cut(fld, "=")
-			if !ok {
-				return nil, fmt.Errorf("netfault: bad rule field %q in %q", fld, part)
-			}
-			switch k {
-			case "after":
-				if r.After, err = strconv.Atoi(v); err != nil || r.After < 0 {
-					return nil, fmt.Errorf("netfault: bad after=%q in %q", v, part)
-				}
-			case "times":
-				if r.Times, err = strconv.Atoi(v); err != nil || r.Times < -1 {
-					return nil, fmt.Errorf("netfault: bad times=%q in %q", v, part)
-				}
-			case "p":
-				if r.Prob, err = strconv.ParseFloat(v, 64); err != nil || r.Prob < 0 || r.Prob > 1 {
-					return nil, fmt.Errorf("netfault: bad p=%q in %q", v, part)
-				}
-			case "delay":
-				if r.Delay, err = time.ParseDuration(v); err != nil || r.Delay < 0 {
-					return nil, fmt.Errorf("netfault: bad delay=%q in %q", v, part)
-				}
-			case "rate":
-				if r.Rate, err = strconv.Atoi(v); err != nil || r.Rate <= 0 {
-					return nil, fmt.Errorf("netfault: bad rate=%q in %q", v, part)
-				}
-			case "partial":
-				if r.Partial, err = strconv.Atoi(v); err != nil || r.Partial < 0 {
-					return nil, fmt.Errorf("netfault: bad partial=%q in %q", v, part)
-				}
-			case "err":
-				if r.Err, err = parseErrKind(v); err != nil {
-					return nil, err
-				}
-			case "per":
-				if v != "conn" {
-					return nil, fmt.Errorf("netfault: bad per=%q in %q (want conn)", v, part)
-				}
-				r.PerConn = true
-			default:
-				return nil, fmt.Errorf("netfault: unknown rule field %q in %q", k, part)
-			}
-		}
-		if r.Delay == 0 && r.Rate == 0 && r.Err == ErrNone {
-			return nil, fmt.Errorf("netfault: rule %q has no effect (want delay, rate or err)", part)
-		}
-		if r.Partial > 0 && (r.Op != OpWrite || r.Err == ErrNone) {
-			return nil, fmt.Errorf("netfault: partial in %q requires op=write and an err", part)
-		}
-		if r.Rate > 0 && r.Op == OpDial {
-			return nil, fmt.Errorf("netfault: rate in %q applies only to read/write", part)
-		}
-		f.Inject(r)
+	p, err := fault.Parse(&grammar, seed, spec)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
+	return &Injector{Plan: p, healCh: make(chan struct{})}, nil
 }

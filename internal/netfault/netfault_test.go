@@ -60,7 +60,7 @@ func TestPassThrough(t *testing.T) {
 
 func TestInjectedReset(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpWrite, Err: ErrReset})
+	f.Inject(Rule{Op: OpWrite, Effect: Effect{Err: ErrReset}})
 	c, _ := pair(t, f)
 	if _, err := c.Write([]byte("x")); !errors.Is(err, ErrInjectedReset) {
 		t.Fatalf("want injected reset, got %v", err)
@@ -76,7 +76,7 @@ func TestInjectedReset(t *testing.T) {
 
 func TestTornWrite(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpWrite, Partial: 3, Err: ErrReset})
+	f.Inject(Rule{Op: OpWrite, Partial: 3, Effect: Effect{Err: ErrReset}})
 	c, s := pair(t, f)
 	n, err := c.Write([]byte("abcdef"))
 	if !errors.Is(err, ErrInjectedReset) || n != 3 {
@@ -97,7 +97,7 @@ func TestTornWrite(t *testing.T) {
 
 func TestInjectedTimeoutIsNetError(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpRead, Err: ErrTimeout})
+	f.Inject(Rule{Op: OpRead, Effect: Effect{Err: ErrTimeout}})
 	c, _ := pair(t, f)
 	_, err := c.Read(make([]byte, 1))
 	var ne net.Error
@@ -108,7 +108,7 @@ func TestInjectedTimeoutIsNetError(t *testing.T) {
 
 func TestLatencyDelaysOp(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpWrite, Delay: 50 * time.Millisecond})
+	f.Inject(Rule{Op: OpWrite, Effect: Effect{Delay: 50 * time.Millisecond}})
 	c, s := pair(t, f)
 	go io.Copy(io.Discard, s)
 	start := time.Now()
@@ -122,7 +122,7 @@ func TestLatencyDelaysOp(t *testing.T) {
 
 func TestLatencyRespectsDeadline(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpWrite, Delay: 10 * time.Second})
+	f.Inject(Rule{Op: OpWrite, Effect: Effect{Delay: 10 * time.Second}})
 	c, _ := pair(t, f)
 	c.SetWriteDeadline(time.Now().Add(30 * time.Millisecond))
 	start := time.Now()
@@ -138,7 +138,7 @@ func TestLatencyRespectsDeadline(t *testing.T) {
 
 func TestBlackholeHealReleases(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpWrite, Times: -1, Err: ErrBlackhole})
+	f.Inject(Rule{Op: OpWrite, Times: -1, Effect: Effect{Err: ErrBlackhole}})
 	c, s := pair(t, f)
 	go io.Copy(io.Discard, s)
 	done := make(chan error, 1)
@@ -164,7 +164,7 @@ func TestBlackholeHealReleases(t *testing.T) {
 
 func TestBlackholeBoundedByDelay(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpWrite, Err: ErrBlackhole, Delay: 40 * time.Millisecond})
+	f.Inject(Rule{Op: OpWrite, Effect: Effect{Err: ErrBlackhole, Delay: 40 * time.Millisecond}})
 	c, _ := pair(t, f)
 	start := time.Now()
 	_, err := c.Write([]byte("x"))
@@ -179,7 +179,7 @@ func TestBlackholeBoundedByDelay(t *testing.T) {
 
 func TestBlackholeCloseReleases(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpRead, Times: -1, Err: ErrBlackhole})
+	f.Inject(Rule{Op: OpRead, Times: -1, Effect: Effect{Err: ErrBlackhole}})
 	c, _ := pair(t, f)
 	done := make(chan error, 1)
 	go func() {
@@ -200,7 +200,7 @@ func TestBlackholeCloseReleases(t *testing.T) {
 
 func TestAfterAndTimes(t *testing.T) {
 	f := New(1)
-	f.Inject(Rule{Op: OpWrite, After: 1, Times: 2, Err: ErrTimeout})
+	f.Inject(Rule{Op: OpWrite, After: 1, Times: 2, Effect: Effect{Err: ErrTimeout}})
 	c, s := pair(t, f)
 	go io.Copy(io.Discard, s)
 	if _, err := c.Write([]byte("x")); err != nil {
@@ -220,7 +220,7 @@ func TestPerConnScoping(t *testing.T) {
 	f := New(1)
 	// Global counters would make only one conn see the fault; per-conn
 	// counters fire for the 2nd write of EVERY conn.
-	f.Inject(Rule{Op: OpWrite, After: 1, Times: -1, Err: ErrTimeout, PerConn: true})
+	f.Inject(Rule{Op: OpWrite, After: 1, Times: -1, Effect: Effect{Err: ErrTimeout, PerConn: true}})
 	for i := 0; i < 3; i++ {
 		c, s := pair(t, f)
 		go io.Copy(io.Discard, s)
@@ -237,7 +237,7 @@ func TestPerConnScoping(t *testing.T) {
 func TestProbDeterministicAcrossSeeds(t *testing.T) {
 	run := func(seed int64) []bool {
 		f := New(seed)
-		f.Inject(Rule{Op: OpWrite, Times: -1, Prob: 0.5, Err: ErrTimeout})
+		f.Inject(Rule{Op: OpWrite, Times: -1, Prob: 0.5, Effect: Effect{Err: ErrTimeout}})
 		c, s := pair(t, f)
 		defer c.Close()
 		go io.Copy(io.Discard, s)
@@ -277,7 +277,7 @@ func TestDialFaults(t *testing.T) {
 	defer ln.Close()
 
 	f := New(1)
-	f.Inject(Rule{Op: OpDial, Err: ErrReset})
+	f.Inject(Rule{Op: OpDial, Effect: Effect{Err: ErrReset}})
 	if _, err := f.Dial("tcp", ln.Addr().String(), time.Second); !errors.Is(err, ErrInjectedReset) {
 		t.Fatalf("want injected dial reset, got %v", err)
 	}
@@ -298,14 +298,13 @@ func TestParseSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.mu.Lock()
-	n := len(f.rules)
-	r0 := *f.rules[0]
-	f.mu.Unlock()
+	rules := f.Rules()
+	n := len(rules)
+	r0 := rules[0]
 	if n != 5 {
 		t.Fatalf("rules = %d, want 5", n)
 	}
-	if r0.Op != OpWrite || r0.After != 2 || r0.Times != -1 || r0.Err != ErrReset || !r0.PerConn {
+	if r0.Op != OpWrite || r0.After != 2 || r0.Times != -1 || r0.Effect.Err != ErrReset || !r0.Effect.PerConn {
 		t.Fatalf("rule 0 parsed wrong: %+v", r0)
 	}
 	// Canonical re-render reparses to itself.
@@ -377,16 +376,13 @@ func FuzzNetfaultSchedule(f *testing.F) {
 		if got := inj2.Schedule(); got != out {
 			t.Fatalf("render not a fixed point: %q -> %q -> %q", spec, out, got)
 		}
-		inj.mu.Lock()
-		rules := inj.rules
-		for _, r := range rules {
-			if r.Delay == 0 && r.Rate == 0 && r.Err == ErrNone {
-				t.Fatalf("accepted no-effect rule %+v from %q", *r, spec)
+		for _, r := range inj.Rules() {
+			if r.Effect.Delay == 0 && r.Effect.Rate == 0 && r.Effect.Err == ErrNone {
+				t.Fatalf("accepted no-effect rule %+v from %q", r, spec)
 			}
 			if r.Times < -1 || r.After < 0 || r.Prob < 0 || r.Prob > 1 {
-				t.Fatalf("accepted out-of-range rule %+v from %q", *r, spec)
+				t.Fatalf("accepted out-of-range rule %+v from %q", r, spec)
 			}
 		}
-		inj.mu.Unlock()
 	})
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // MaxSpanStages bounds the per-stage breakdown carried by a Span. The owner
 // defines what the indices mean (the engine's pipeline order, for pskyline).
@@ -40,110 +37,40 @@ type Span struct {
 	StageNs [MaxSpanStages]int64
 }
 
-// spanSlot is one seqlock slot: even version = stable, odd = mid-write, and
-// every payload field is an individual atomic so concurrent access stays
-// well-defined for the race detector while the version pair provides
-// cross-field consistency (same construction as the trace ring).
-type spanSlot struct {
-	ver     atomic.Uint64
-	seq     atomic.Uint64
-	batch   atomic.Int64
-	shard   atomic.Int64
-	queue   atomic.Int64
-	admit   atomic.Int64
-	wait    atomic.Int64
-	apply   atomic.Int64
-	publish atomic.Int64
-	total   atomic.Int64
-	stages  [MaxSpanStages]atomic.Int64
-}
+// spanWords is a Span's payload size in ring words.
+const spanWords = 9 + MaxSpanStages
 
-// SpanRing is a bounded lock-free ring of Spans: a single writer records
-// (allocation-free — a fixed number of atomic stores into preallocated
-// slots), any number of readers collect without ever blocking the writer. A
-// slot overwritten while a reader decodes it is skipped, never returned
-// torn.
-type SpanRing struct {
-	mask  uint64
-	n     atomic.Uint64 // total spans ever written
-	slots []spanSlot
-}
-
-// NewSpanRing returns a ring holding the last `depth` spans (rounded up to a
-// power of two, minimum 1).
-func NewSpanRing(depth int) *SpanRing {
-	if depth <= 0 {
-		depth = 1
+func encodeSpan(sp Span, w []uint64) {
+	w[0] = sp.Seq
+	w[1] = uint64(sp.Batch)
+	w[2] = uint64(sp.Shard)
+	w[3] = uint64(sp.Queue)
+	w[4] = uint64(sp.AdmitNs)
+	w[5] = uint64(sp.WaitNs)
+	w[6] = uint64(sp.ApplyNs)
+	w[7] = uint64(sp.PublishNs)
+	w[8] = uint64(sp.TotalNs)
+	for i, ns := range sp.StageNs {
+		w[9+i] = uint64(ns)
 	}
-	cap := 1
-	for cap < depth {
-		cap <<= 1
-	}
-	return &SpanRing{mask: uint64(cap - 1), slots: make([]spanSlot, cap)}
 }
 
-// Record appends one span. Single writer only; never allocates.
-func (r *SpanRing) Record(sp *Span) {
-	pos := r.n.Load()
-	s := &r.slots[pos&r.mask]
-	v := s.ver.Load()
-	s.ver.Store(v + 1)
-	s.seq.Store(sp.Seq)
-	s.batch.Store(int64(sp.Batch))
-	s.shard.Store(int64(sp.Shard))
-	s.queue.Store(int64(sp.Queue))
-	s.admit.Store(sp.AdmitNs)
-	s.wait.Store(sp.WaitNs)
-	s.apply.Store(sp.ApplyNs)
-	s.publish.Store(sp.PublishNs)
-	s.total.Store(sp.TotalNs)
+func decodeSpan(w []uint64) Span {
+	sp := Span{
+		Seq:       w[0],
+		Batch:     int32(w[1]),
+		Shard:     int32(w[2]),
+		Queue:     int32(w[3]),
+		AdmitNs:   int64(w[4]),
+		WaitNs:    int64(w[5]),
+		ApplyNs:   int64(w[6]),
+		PublishNs: int64(w[7]),
+		TotalNs:   int64(w[8]),
+	}
 	for i := range sp.StageNs {
-		s.stages[i].Store(sp.StageNs[i])
+		sp.StageNs[i] = int64(w[9+i])
 	}
-	s.ver.Store(v + 2)
-	r.n.Store(pos + 1)
-}
-
-// Count returns the total number of spans ever recorded.
-func (r *SpanRing) Count() uint64 { return r.n.Load() }
-
-// Collect decodes the ring's current contents, oldest first. Spans being
-// overwritten concurrently are skipped; everything returned is complete and
-// untorn.
-func (r *SpanRing) Collect() []Span {
-	n := r.n.Load()
-	depth := uint64(len(r.slots))
-	start := uint64(0)
-	if n > depth {
-		start = n - depth
-	}
-	out := make([]Span, 0, n-start)
-	for pos := start; pos < n; pos++ {
-		s := &r.slots[pos&r.mask]
-		v1 := s.ver.Load()
-		if v1&1 == 1 {
-			continue
-		}
-		sp := Span{
-			Seq:       s.seq.Load(),
-			Batch:     int32(s.batch.Load()),
-			Shard:     int32(s.shard.Load()),
-			Queue:     int32(s.queue.Load()),
-			AdmitNs:   s.admit.Load(),
-			WaitNs:    s.wait.Load(),
-			ApplyNs:   s.apply.Load(),
-			PublishNs: s.publish.Load(),
-			TotalNs:   s.total.Load(),
-		}
-		for i := range sp.StageNs {
-			sp.StageNs[i] = s.stages[i].Load()
-		}
-		if s.ver.Load() != v1 {
-			continue // overwritten while decoding
-		}
-		out = append(out, sp)
-	}
-	return out
+	return sp
 }
 
 // Flight-recorder defaults (used when the corresponding option is 0).
@@ -161,8 +88,8 @@ const (
 // allocation-free and single-writer; dumping (Recent/Slow) is lock-free from
 // any goroutine.
 type FlightRecorder struct {
-	recent      *SpanRing
-	slow        *SpanRing
+	recent      *Ring[Span]
+	slow        *Ring[Span]
 	thresholdNs int64
 	recorded    Counter
 	slowCount   Counter
@@ -181,8 +108,8 @@ func NewFlightRecorder(recentDepth, slowDepth int, slowThreshold time.Duration) 
 		slowThreshold = DefaultSlowThreshold
 	}
 	return &FlightRecorder{
-		recent:      NewSpanRing(recentDepth),
-		slow:        NewSpanRing(slowDepth),
+		recent:      NewRing(recentDepth, spanWords, encodeSpan, decodeSpan),
+		slow:        NewRing(slowDepth, spanWords, encodeSpan, decodeSpan),
 		thresholdNs: int64(slowThreshold),
 	}
 }
@@ -190,10 +117,10 @@ func NewFlightRecorder(recentDepth, slowDepth int, slowThreshold time.Duration) 
 // Record files one operation's span. Single writer only; never allocates.
 func (f *FlightRecorder) Record(sp *Span) {
 	f.recorded.Inc()
-	f.recent.Record(sp)
+	f.recent.Record(*sp)
 	if sp.TotalNs >= f.thresholdNs {
 		f.slowCount.Inc()
-		f.slow.Record(sp)
+		f.slow.Record(*sp)
 	}
 }
 

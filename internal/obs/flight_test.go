@@ -2,14 +2,13 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// encodeSpan builds a span whose every field is derived from k, so a reader
-// can detect any cross-field tearing: a collected span mixing two records
-// fails the derivation check.
-func encodeSpan(k uint64) Span {
+// spanOf builds a span whose every field is derived from k.
+func spanOf(k uint64) Span {
 	sp := Span{
 		Seq:       k,
 		Batch:     int32(k%1000 + 1),
@@ -27,70 +26,69 @@ func encodeSpan(k uint64) Span {
 	return sp
 }
 
-func checkSpan(t *testing.T, sp Span) {
-	t.Helper()
-	k := sp.Seq
-	want := encodeSpan(k)
-	if sp != want {
-		t.Errorf("torn span for k=%d: got %+v want %+v", k, sp, want)
-	}
-}
-
-// TestSpanRingWrapTornReads is the seqlock torture test: a tiny ring forces
-// constant wrap-around while concurrent readers collect. Every collected
-// span must decode to a single record's consistent field set — a reader
-// observing a torn (odd or changed) version must skip, never return a mix.
-// Run under -race this also proves the atomics discipline.
+// TestSpanRingWrapTornReads is the seqlock torture test of Ring with the
+// flight-span payload: a depth-4 ring wraps every four records while four
+// readers collect continuously. Every span they accept must be one record's
+// consistent field set — a reader that sees a torn (odd or changed) version
+// must skip, never return a mix. Run under -race this also proves the
+// atomics discipline. The skyline trace payload gets the same test in the
+// root package.
 func TestSpanRingWrapTornReads(t *testing.T) {
-	r := NewSpanRing(4) // wraps every 4 records
+	const depth = 4
 	const writes = 200_000
-	stop := make(chan struct{})
-	var rg sync.WaitGroup
+	r := NewRing(depth, spanWords, encodeSpan, decodeSpan)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	var accepted atomic.Uint64
 	for i := 0; i < 4; i++ {
-		rg.Add(1)
+		wg.Add(1)
 		go func() {
-			defer rg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					for _, sp := range r.Collect() {
-						checkSpan(t, sp)
+			defer wg.Done()
+			for !stop.Load() {
+				for _, sp := range r.Collect() {
+					if want := spanOf(sp.Seq); sp != want {
+						t.Errorf("torn span: got %+v, want %+v", sp, want)
+						return
 					}
+					accepted.Add(1)
 				}
 			}
 		}()
 	}
 	for k := uint64(1); k <= writes; k++ {
-		sp := encodeSpan(k)
-		r.Record(&sp)
+		r.Record(spanOf(k))
 	}
-	close(stop)
-	rg.Wait()
-	if r.Count() != writes {
-		t.Fatalf("count %d, want %d", r.Count(), writes)
+	stop.Store(true)
+	wg.Wait()
+	if accepted.Load() == 0 {
+		t.Fatal("readers accepted no spans at all")
 	}
-	// Quiescent collect: the last min(depth, writes) records, in order.
+
+	// Quiescent: Collect returns exactly the last `depth` spans, in order.
 	got := r.Collect()
-	if len(got) != 4 {
-		t.Fatalf("collected %d records from a depth-4 ring", len(got))
+	if len(got) != depth {
+		t.Fatalf("quiescent collect returned %d spans, want %d", len(got), depth)
 	}
 	for i, sp := range got {
-		if want := uint64(writes - 3 + i); sp.Seq != want {
-			t.Errorf("record %d: seq %d, want %d", i, sp.Seq, want)
+		if want := spanOf(writes - depth + 1 + uint64(i)); sp != want {
+			t.Fatalf("quiescent span %d: got %+v, want %+v", i, sp, want)
 		}
-		checkSpan(t, sp)
 	}
 }
 
-func TestSpanRingDepthRounding(t *testing.T) {
+func TestRingDepthRounding(t *testing.T) {
 	for _, c := range []struct{ depth, want int }{
 		{0, 1}, {1, 1}, {3, 4}, {4, 4}, {100, 128},
 	} {
-		if r := NewSpanRing(c.depth); len(r.slots) != c.want {
-			t.Errorf("NewSpanRing(%d): %d slots, want %d", c.depth, len(r.slots), c.want)
+		r := NewRing(c.depth, spanWords, encodeSpan, decodeSpan)
+		if got := int(r.mask + 1); got != c.want || len(r.words) != c.want*r.stride {
+			t.Errorf("NewRing(%d): %d slots in %d words, want %d slots", c.depth, got, len(r.words), c.want)
 		}
+	}
+	// A flight slot is the version word plus the span's payload: 18 words.
+	if stride := NewRing(1, spanWords, encodeSpan, decodeSpan).stride; stride != 18 {
+		t.Errorf("flight slot = %d words, want 18", stride)
 	}
 }
 
@@ -101,12 +99,12 @@ func TestFlightRecorderSlowLatch(t *testing.T) {
 	}
 	// 20 fast spans cycle the recent ring; 2 slow ones latch.
 	for k := uint64(1); k <= 20; k++ {
-		sp := encodeSpan(k)
+		sp := spanOf(k)
 		sp.TotalNs = int64(50 * time.Microsecond)
 		f.Record(&sp)
 	}
 	for _, k := range []uint64{100, 200} {
-		sp := encodeSpan(k)
+		sp := spanOf(k)
 		sp.TotalNs = int64(3 * time.Millisecond)
 		f.Record(&sp)
 	}
@@ -128,8 +126,8 @@ func TestFlightRecorderSlowLatch(t *testing.T) {
 
 	// Defaults kick in for zeroed config.
 	d := NewFlightRecorder(0, 0, 0)
-	if d.Threshold() != DefaultSlowThreshold || len(d.recent.slots) != DefaultFlightDepth || len(d.slow.slots) != DefaultSlowDepth {
-		t.Fatalf("defaults: %v %d %d", d.Threshold(), len(d.recent.slots), len(d.slow.slots))
+	if d.Threshold() != DefaultSlowThreshold || d.recent.mask+1 != DefaultFlightDepth || d.slow.mask+1 != DefaultSlowDepth {
+		t.Fatalf("defaults: %v %d %d", d.Threshold(), d.recent.mask+1, d.slow.mask+1)
 	}
 }
 
@@ -140,7 +138,7 @@ func TestFlightRecordAllocs(t *testing.T) {
 	k := uint64(0)
 	if avg := testing.AllocsPerRun(2000, func() {
 		k++
-		sp := encodeSpan(k)
+		sp := spanOf(k)
 		sp.TotalNs = int64(time.Millisecond) // always latches
 		f.Record(&sp)
 	}); avg != 0 {

@@ -136,7 +136,7 @@ func TestSemiSyncDegradeHealUpgradeCycle(t *testing.T) {
 	waitSyncState(t, srv, "semisync")
 
 	// Partition: every server->follower frame disappears into the void.
-	inj.Inject(netfault.Rule{Op: netfault.OpWrite, Times: -1, Err: netfault.ErrBlackhole})
+	inj.Inject(netfault.Rule{Op: netfault.OpWrite, Times: -1, Effect: netfault.Effect{Err: netfault.ErrBlackhole}})
 	start := time.Now()
 	pushN(t, primary, rng, 1)
 	if d := time.Since(start); d > time.Second {
@@ -254,7 +254,7 @@ func TestSemiSyncCloseReleasesBlockedPush(t *testing.T) {
 	// reaches the follower, so no ack comes back and the push blocks on
 	// the quorum. (Blackholing server reads would be racy: an ack read
 	// already in flight when the rule lands still returns.)
-	inj.Inject(netfault.Rule{Op: netfault.OpWrite, Times: -1, Err: netfault.ErrBlackhole})
+	inj.Inject(netfault.Rule{Op: netfault.OpWrite, Times: -1, Effect: netfault.Effect{Err: netfault.ErrBlackhole}})
 	pushed := make(chan error, 1)
 	go func() {
 		_, err := primary.Push(pskyline.Element{Point: []float64{0.5, 0.5}, Prob: 0.5, TS: 100})
@@ -303,7 +303,7 @@ func TestSemiSyncCloseReleasesBlockedPush(t *testing.T) {
 func TestSemiSyncKillLossBound(t *testing.T) {
 	inj := netfault.New(13)
 	// A flaky link: ~20% of server writes reset the connection, forever.
-	inj.Inject(netfault.Rule{Op: netfault.OpWrite, Times: -1, Prob: 0.2, Err: netfault.ErrReset})
+	inj.Inject(netfault.Rule{Op: netfault.OpWrite, Times: -1, Prob: 0.2, Effect: netfault.Effect{Err: netfault.ErrReset}})
 	opt := semiServerOptions(50*time.Millisecond, 200*time.Millisecond)
 	opt.Fault = inj
 	primary, err := pskyline.NewMonitor(testOptions(t.TempDir()))
@@ -404,7 +404,7 @@ func TestFollowerTableConvergesUnderChurn(t *testing.T) {
 			// a blackhole until the server write deadline (10s), so only
 			// prompt dead-marking — not serveConn exit — can keep the
 			// ghost out of Status.
-			inj.Inject(netfault.Rule{Op: netfault.OpWrite, Times: 1, Err: netfault.ErrBlackhole})
+			inj.Inject(netfault.Rule{Op: netfault.OpWrite, Times: 1, Effect: netfault.Effect{Err: netfault.ErrBlackhole}})
 		}
 		f.DropConnection()
 		pushN(t, primary, rng, 5)
@@ -431,7 +431,7 @@ func TestFollowerBackoffCountsPostHandshakeFailures(t *testing.T) {
 	inj := netfault.New(31)
 	// Per-connection: the welcome (write #1) succeeds, the first streamed
 	// frame (write #2) resets — every session fails right after handshake.
-	inj.Inject(netfault.Rule{Op: netfault.OpWrite, After: 1, Times: -1, Err: netfault.ErrReset, PerConn: true})
+	inj.Inject(netfault.Rule{Op: netfault.OpWrite, After: 1, Times: -1, Effect: netfault.Effect{Err: netfault.ErrReset, PerConn: true}})
 	opt := fastServerOptions()
 	opt.Fault = inj
 	primary, err := pskyline.NewMonitor(testOptions(t.TempDir()))

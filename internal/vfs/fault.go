@@ -3,11 +3,10 @@ package vfs
 import (
 	"fmt"
 	"io/fs"
-	"math/rand"
-	"strconv"
 	"strings"
-	"sync"
 	"syscall"
+
+	"pskyline/internal/fault"
 )
 
 // Op names one FS operation class for fault matching.
@@ -25,7 +24,6 @@ const (
 	OpRemove
 	OpMkdir
 	OpSyncDir
-	opCount
 )
 
 var opNames = [...]string{
@@ -41,33 +39,55 @@ func (o Op) String() string {
 	return "op?"
 }
 
-// ParseOp parses an operation name as used in fault schedule specs.
-func ParseOp(s string) (Op, error) {
-	for op, name := range opNames {
-		if name == s {
-			return Op(op), nil
-		}
-	}
-	return 0, fmt.Errorf("vfs: unknown op %q", s)
+// Effect is a disk rule's own part: which paths it applies to and the error
+// it injects.
+type Effect struct {
+	Path string // substring match on the operation's path ("" = any)
+	Err  error  // error to return (nil = EIO)
 }
 
-// Rule is one fault in a schedule: it arms after After matching operations
-// have passed through and then fires Times times (0 is treated as once,
-// -1 = forever). A fired write with Partial > 0 writes that many bytes
-// before returning the error — a torn write. Prob, when in (0,1), fires the
-// rule probabilistically instead (seeded, deterministic) on each matching
-// call past After.
-type Rule struct {
-	Op      Op
-	Path    string // substring match on the operation's path ("" = any)
-	After   int    // matching calls to skip before the rule arms
-	Times   int    // times to fire once armed; 0 = once, -1 = forever
-	Err     error  // error to return (nil = EIO)
-	Partial int    // OpWrite only: bytes written before failing
-	Prob    float64
+// Rule is one fault in a disk schedule (see fault.Rule for the arming
+// fields).
+type Rule = fault.Rule[Op, Effect]
 
-	seen  int // matching calls observed
-	fired int
+// grammar is the -wal-fault part of the shared schedule language.
+var grammar = fault.Grammar[Op, Effect]{
+	Name:  "vfs",
+	Ops:   opNames[:],
+	Write: OpWrite,
+	Field: func(e *Effect, k, v string) error {
+		switch k {
+		case "path":
+			e.Path = v
+		case "err":
+			switch v {
+			case "eio":
+				e.Err = syscall.EIO
+			case "enospc":
+				e.Err = syscall.ENOSPC
+			default:
+				return fmt.Errorf("unknown err=%q (want eio or enospc)", v)
+			}
+		default:
+			return fmt.Errorf("unknown rule field %q", k)
+		}
+		return nil
+	},
+	Render: func(b *strings.Builder, e *Effect) {
+		if e.Path != "" {
+			b.WriteString(":path=" + e.Path)
+		}
+		switch e.Err {
+		case nil:
+		case syscall.EIO:
+			b.WriteString(":err=eio")
+		case syscall.ENOSPC:
+			b.WriteString(":err=enospc")
+		default:
+			b.WriteString(":err=" + e.Err.Error())
+		}
+	},
+	Fails: func(*Effect) bool { return true },
 }
 
 // Fault wraps a base FS and injects errors according to a deterministic,
@@ -75,95 +95,30 @@ type Rule struct {
 // serialization also makes the schedule deterministic for a single-writer
 // caller like the WAL. Operation counts are kept per Op for test assertions.
 type Fault struct {
+	*fault.Plan[Op, Effect]
 	base FS
-
-	mu     sync.Mutex
-	rng    *rand.Rand
-	rules  []*Rule
-	counts [opCount]int
-	errs   [opCount]int
 }
 
 // NewFault returns a fault-injecting FS over base. seed drives the
 // probabilistic rules; equal seeds give equal schedules.
 func NewFault(base FS, seed int64) *Fault {
-	return &Fault{base: base, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Inject adds a rule to the schedule. The rule is copied; later mutation of
-// the argument has no effect.
-func (f *Fault) Inject(r Rule) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rc := r
-	f.rules = append(f.rules, &rc)
-}
-
-// Clear drops every rule (the disk "heals").
-func (f *Fault) Clear() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rules = nil
-}
-
-// Count returns how many operations of class op have been issued.
-func (f *Fault) Count(op Op) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.counts[op]
-}
-
-// Errors returns how many operations of class op were failed by a rule.
-func (f *Fault) Errors(op Op) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.errs[op]
-}
-
-// ErrorsTotal returns the total number of injected failures.
-func (f *Fault) ErrorsTotal() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, e := range f.errs {
-		n += e
-	}
-	return n
+	return &Fault{Plan: fault.New(&grammar, seed), base: base}
 }
 
 // check records one operation and returns the rule error to inject, the
 // partial-write byte count (writes only), and whether a fault fires.
 func (f *Fault) check(op Op, path string) (error, int, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.counts[op]++
-	for _, r := range f.rules {
-		if r.Op != op || (r.Path != "" && !strings.Contains(path, r.Path)) {
-			continue
-		}
-		r.seen++
-		if r.seen <= r.After {
-			continue
-		}
-		limit := r.Times
-		if limit == 0 {
-			limit = 1
-		}
-		if limit > 0 && r.fired >= limit {
-			continue
-		}
-		if r.Prob > 0 && r.Prob < 1 && f.rng.Float64() >= r.Prob {
-			continue
-		}
-		r.fired++
-		f.errs[op]++
-		err := r.Err
-		if err == nil {
-			err = syscall.EIO
-		}
-		return fmt.Errorf("vfs: injected %s fault on %s: %w", op, path, err), r.Partial, true
+	r, ok := f.Fire(op, func(r *Rule) (bool, *fault.Counts) {
+		return strings.Contains(path, r.Effect.Path), nil
+	})
+	if !ok {
+		return nil, 0, false
 	}
-	return nil, 0, false
+	err := r.Effect.Err
+	if err == nil {
+		err = syscall.EIO
+	}
+	return fmt.Errorf("vfs: injected %s fault on %s: %w", op, path, err), r.Partial, true
 }
 
 // faultFile wraps a base File so writes and fsyncs pass through the
@@ -283,11 +238,13 @@ func (f *Fault) SyncDir(dir string) error {
 }
 
 // ParseSchedule builds a fault FS over base from a compact schedule spec —
-// the -wal-fault CLI syntax used by the chaos smoke script. The spec is a
-// semicolon-separated list of rules; each rule is colon-separated fields
-// starting with the op name:
+// the -wal-fault CLI syntax used by the chaos smoke script, in the language
+// fault.Parse describes. The disk's ops are write, sync, create, open,
+// readdir, stat, truncate, rename, remove, mkdir and syncdir; its own fields
+// are path=SUBSTR (match only paths containing SUBSTR) and err=eio|enospc
+// (default eio):
 //
-//	op[:path=SUBSTR][:after=N][:times=M][:err=eio|enospc][:partial=K][:p=F]
+//	op[:after=N][:times=M][:p=F][:partial=K][:path=SUBSTR][:err=eio|enospc]
 //
 // Examples:
 //
@@ -296,56 +253,9 @@ func (f *Fault) SyncDir(dir string) error {
 //	rename:path=ckpt:times=-1          every checkpoint rename fails forever
 //	sync:p=0.01:times=-1               each fsync fails with probability 1%
 func ParseSchedule(base FS, seed int64, spec string) (*Fault, error) {
-	f := NewFault(base, seed)
-	for _, part := range strings.Split(spec, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		fields := strings.Split(part, ":")
-		op, err := ParseOp(strings.TrimSpace(fields[0]))
-		if err != nil {
-			return nil, err
-		}
-		r := Rule{Op: op, Times: 0}
-		for _, fld := range fields[1:] {
-			k, v, ok := strings.Cut(fld, "=")
-			if !ok {
-				return nil, fmt.Errorf("vfs: bad rule field %q in %q", fld, part)
-			}
-			switch k {
-			case "path":
-				r.Path = v
-			case "after":
-				if r.After, err = strconv.Atoi(v); err != nil {
-					return nil, fmt.Errorf("vfs: bad after=%q: %v", v, err)
-				}
-			case "times":
-				if r.Times, err = strconv.Atoi(v); err != nil {
-					return nil, fmt.Errorf("vfs: bad times=%q: %v", v, err)
-				}
-			case "err":
-				switch v {
-				case "eio":
-					r.Err = syscall.EIO
-				case "enospc":
-					r.Err = syscall.ENOSPC
-				default:
-					return nil, fmt.Errorf("vfs: unknown err=%q (want eio or enospc)", v)
-				}
-			case "partial":
-				if r.Partial, err = strconv.Atoi(v); err != nil {
-					return nil, fmt.Errorf("vfs: bad partial=%q: %v", v, err)
-				}
-			case "p":
-				if r.Prob, err = strconv.ParseFloat(v, 64); err != nil {
-					return nil, fmt.Errorf("vfs: bad p=%q: %v", v, err)
-				}
-			default:
-				return nil, fmt.Errorf("vfs: unknown rule field %q in %q", k, part)
-			}
-		}
-		f.Inject(r)
+	p, err := fault.Parse(&grammar, seed, spec)
+	if err != nil {
+		return nil, err
 	}
-	return f, nil
+	return &Fault{Plan: p, base: base}, nil
 }

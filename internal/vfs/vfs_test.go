@@ -93,7 +93,7 @@ func TestFaultAfterTimes(t *testing.T) {
 func TestFaultPartialWrite(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFault(OS{}, 1)
-	f.Inject(Rule{Op: OpWrite, Partial: 3, Err: syscall.ENOSPC})
+	f.Inject(Rule{Op: OpWrite, Partial: 3, Effect: Effect{Err: syscall.ENOSPC}})
 	path := filepath.Join(dir, "torn")
 	file, err := f.Create(path)
 	if err != nil {
@@ -117,7 +117,7 @@ func TestFaultPartialWrite(t *testing.T) {
 func TestFaultPathMatchAndForever(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFault(OS{}, 1)
-	f.Inject(Rule{Op: OpRename, Path: "ckpt", Times: -1})
+	f.Inject(Rule{Op: OpRename, Times: -1, Effect: Effect{Path: "ckpt"}})
 	if err := os.WriteFile(filepath.Join(dir, "ckpt-1.tmp"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -178,22 +178,68 @@ func TestParseSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.rules) != 3 {
-		t.Fatalf("parsed %d rules", len(f.rules))
+	rules := f.Rules()
+	if len(rules) != 3 {
+		t.Fatalf("parsed %d rules", len(rules))
 	}
-	r := f.rules[0]
-	if r.Op != OpSync || r.After != 1 || r.Times != 2 || !errors.Is(r.Err, syscall.ENOSPC) {
+	r := rules[0]
+	if r.Op != OpSync || r.After != 1 || r.Times != 2 || !errors.Is(r.Effect.Err, syscall.ENOSPC) {
 		t.Fatalf("rule 0 = %+v", r)
 	}
-	if f.rules[1].Op != OpWrite || f.rules[1].Partial != 4 {
-		t.Fatalf("rule 1 = %+v", f.rules[1])
+	if rules[1].Op != OpWrite || rules[1].Partial != 4 {
+		t.Fatalf("rule 1 = %+v", rules[1])
 	}
-	if f.rules[2].Path != "ckpt" || f.rules[2].Times != -1 {
-		t.Fatalf("rule 2 = %+v", f.rules[2])
+	if rules[2].Effect.Path != "ckpt" || rules[2].Times != -1 {
+		t.Fatalf("rule 2 = %+v", rules[2])
 	}
-	for _, bad := range []string{"fsync", "sync:after=x", "sync:bogus=1", "sync:err=nope", "sync:times"} {
+	if got, want := f.Schedule(), "sync:after=1:times=2:err=enospc;write:partial=4;rename:times=-1:path=ckpt"; got != want {
+		t.Fatalf("Schedule() = %q, want %q", got, want)
+	}
+	for _, bad := range []string{
+		"fsync", "sync:after=x", "sync:bogus=1", "sync:err=nope", "sync:times",
+		"sync:after=-3", "sync:p=7", "sync:p=-1", "sync:times=-5", "write:partial=-2", "sync:partial=4",
+	} {
 		if _, err := ParseSchedule(OS{}, 1, bad); err == nil {
 			t.Errorf("spec %q parsed", bad)
 		}
 	}
+}
+
+// FuzzVFSSchedule is FuzzNetfaultSchedule for the disk grammar: any accepted
+// spec must re-render canonically (render → parse → render is a fixed
+// point) with every rule in range, and malformed input must be rejected,
+// never panic.
+func FuzzVFSSchedule(f *testing.F) {
+	f.Add("sync:after=1:times=2:err=enospc; write:partial=4 ; rename:path=ckpt:times=-1")
+	f.Add("write:p=0.08:times=-1:partial=5;sync:p=0.10:times=-1")
+	f.Add("write:path=.seg:times=-1")
+	f.Add("write:after=100:times=0:partial=7")
+	f.Add("sync:p=0.01:times=-1:err=eio")
+	f.Add("syncdir;mkdir:path=a=b")
+	f.Add("write: path = x :times=1")
+	f.Add("::::")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, spec string) {
+		fi, err := ParseSchedule(OS{}, 1, spec)
+		if err != nil {
+			return
+		}
+		out := fi.Schedule()
+		fi2, err := ParseSchedule(OS{}, 1, out)
+		if err != nil {
+			t.Fatalf("re-render %q of accepted %q rejected: %v", out, spec, err)
+		}
+		if got := fi2.Schedule(); got != out {
+			t.Fatalf("render not a fixed point: %q -> %q -> %q", spec, out, got)
+		}
+		for _, r := range fi.Rules() {
+			if r.Times < -1 || r.After < 0 || !(r.Prob >= 0 && r.Prob <= 1) || r.Partial < 0 ||
+				(r.Partial > 0 && r.Op != OpWrite) {
+				t.Fatalf("accepted out-of-range rule %+v from %q", r, spec)
+			}
+			if e := r.Effect.Err; e != nil && e != syscall.EIO && e != syscall.ENOSPC {
+				t.Fatalf("accepted unknown error %v from %q", e, spec)
+			}
+		}
+	})
 }

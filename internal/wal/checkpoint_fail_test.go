@@ -47,12 +47,12 @@ func TestCheckpointInstallFailures(t *testing.T) {
 		// assertion differs.
 		afterRename bool
 	}{
-		{"create", vfs.Rule{Op: vfs.OpCreate, Path: ".ckpt.tmp", Times: 1, Err: syscall.EIO}, false},
-		{"write", vfs.Rule{Op: vfs.OpWrite, Path: ".ckpt.tmp", Times: 1, Err: syscall.ENOSPC}, false},
-		{"write-torn", vfs.Rule{Op: vfs.OpWrite, Path: ".ckpt.tmp", Times: 1, Err: syscall.EIO, Partial: 3}, false},
-		{"fsync", vfs.Rule{Op: vfs.OpSync, Path: ".ckpt.tmp", Times: 1, Err: syscall.EIO}, false},
-		{"rename", vfs.Rule{Op: vfs.OpRename, Path: ".ckpt.tmp", Times: 1, Err: syscall.EIO}, false},
-		{"syncdir", vfs.Rule{Op: vfs.OpSyncDir, Times: 1, Err: syscall.EIO}, true},
+		{"create", vfs.Rule{Op: vfs.OpCreate, Times: 1, Effect: vfs.Effect{Path: ".ckpt.tmp", Err: syscall.EIO}}, false},
+		{"write", vfs.Rule{Op: vfs.OpWrite, Times: 1, Effect: vfs.Effect{Path: ".ckpt.tmp", Err: syscall.ENOSPC}}, false},
+		{"write-torn", vfs.Rule{Op: vfs.OpWrite, Times: 1, Partial: 3, Effect: vfs.Effect{Path: ".ckpt.tmp", Err: syscall.EIO}}, false},
+		{"fsync", vfs.Rule{Op: vfs.OpSync, Times: 1, Effect: vfs.Effect{Path: ".ckpt.tmp", Err: syscall.EIO}}, false},
+		{"rename", vfs.Rule{Op: vfs.OpRename, Times: 1, Effect: vfs.Effect{Path: ".ckpt.tmp", Err: syscall.EIO}}, false},
+		{"syncdir", vfs.Rule{Op: vfs.OpSyncDir, Times: 1, Effect: vfs.Effect{Err: syscall.EIO}}, true},
 	}
 	for _, step := range steps {
 		t.Run(step.name, func(t *testing.T) {

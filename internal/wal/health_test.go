@@ -86,7 +86,7 @@ func TestFailStopDetaches(t *testing.T) {
 	w := openFault(t, dir, fi, FailStop)
 	appendN(t, w, 0, 10, 3, 5, 1)
 
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Effect: vfs.Effect{Err: syscall.EIO}})
 	if err := w.AppendElement(10, []float64{1, 2, 3}, 0.5, 10); err != nil {
 		t.Fatalf("append into pending should not fail: %v", err)
 	}
@@ -133,7 +133,7 @@ func TestRetryRecoversTransient(t *testing.T) {
 
 	// One whole write fails, then the disk heals: the caller must observe
 	// nothing.
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: 1, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: 1, Effect: vfs.Effect{Err: syscall.EIO}})
 	seq := appendN(t, w, 5, 5, 2, 5, 2)
 	if seq != 10 {
 		t.Fatalf("seq %d, want 10", seq)
@@ -158,7 +158,7 @@ func TestRetryRepairsTornWrite(t *testing.T) {
 	// The next write tears at byte 7 — a partial record lands on disk past
 	// the committed prefix. Repair must truncate it before the retry, or the
 	// segment would hold the record twice (once torn, once whole).
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: 1, Err: syscall.EIO, Partial: 7})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: 1, Partial: 7, Effect: vfs.Effect{Err: syscall.EIO}})
 	appendN(t, w, 5, 5, 2, 5, 2)
 	if w.State() != StateHealthy {
 		t.Fatalf("state %v, want healthy", w.State())
@@ -183,7 +183,7 @@ func TestRetryFsyncFailure(t *testing.T) {
 	fi := vfs.NewFault(vfs.OS{}, 1)
 	w := openFault(t, dir, fi, Retry)
 
-	fi.Inject(vfs.Rule{Op: vfs.OpSync, Times: 2, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpSync, Times: 2, Effect: vfs.Effect{Err: syscall.EIO}})
 	appendN(t, w, 0, 5, 2, 5, 1)
 	if w.State() != StateHealthy {
 		t.Fatalf("state %v, want healthy", w.State())
@@ -199,7 +199,7 @@ func TestRetryExhaustionDetaches(t *testing.T) {
 	w := openFault(t, dir, fi, Retry)
 	appendN(t, w, 0, 5, 2, 5, 1)
 
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Err: syscall.ENOSPC})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Effect: vfs.Effect{Err: syscall.ENOSPC}})
 	if err := w.AppendElement(5, []float64{1, 2}, 0.5, 5); err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -235,7 +235,7 @@ func TestShedDegradesAndReattaches(t *testing.T) {
 	appendN(t, w, 0, 10, 2, 5, 1)
 
 	// Disk dies for good (as far as Shed is concerned: one failure sheds).
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: -1, Effect: vfs.Effect{Err: syscall.EIO}})
 	if err := w.AppendElement(10, []float64{1, 2}, 0.5, 10); err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestReattachFailureStaysDegraded(t *testing.T) {
 	w := openFault(t, dir, fi, Shed)
 	appendN(t, w, 0, 5, 2, 5, 1)
 
-	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: 1, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpWrite, Times: 1, Effect: vfs.Effect{Err: syscall.EIO}})
 	w.AppendElement(5, []float64{1, 2}, 0.5, 5)
 	if err := w.Commit(); err != nil || w.State() != StateDegraded {
 		t.Fatalf("commit %v state %v, want nil/degraded", err, w.State())
@@ -301,7 +301,7 @@ func TestReattachFailureStaysDegraded(t *testing.T) {
 
 	// The stale segment cannot be removed yet: Reattach must fail, stay
 	// degraded, and succeed when called again after the disk heals.
-	fi.Inject(vfs.Rule{Op: vfs.OpRemove, Times: 1, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpRemove, Times: 1, Effect: vfs.Effect{Err: syscall.EIO}})
 	if err := w.Reattach(6); err == nil {
 		t.Fatal("reattach succeeded despite remove failure")
 	}
@@ -323,7 +323,7 @@ func TestRetrySegmentCreationFailure(t *testing.T) {
 
 	// The very first segment creation fails twice; the retry loop must
 	// recreate it (tolerating the debris path) and commit cleanly.
-	fi.Inject(vfs.Rule{Op: vfs.OpCreate, Times: 2, Err: syscall.EIO})
+	fi.Inject(vfs.Rule{Op: vfs.OpCreate, Times: 2, Effect: vfs.Effect{Err: syscall.EIO}})
 	appendN(t, w, 0, 5, 2, 5, 1)
 	if w.State() != StateHealthy {
 		t.Fatalf("state %v, want healthy", w.State())

@@ -206,7 +206,7 @@ type Monitor struct {
 	// ring, the export registry, and the occurrence-probability running sum
 	// behind the theory-bound gauges (plain fields, guarded by mu).
 	met       monMetrics
-	trace     *traceRing
+	trace     *obs.Ring[TraceEvent]
 	reg       *obs.Registry
 	probSum   float64
 	probCount uint64
@@ -371,8 +371,10 @@ func (m *Monitor) onChange(ev core.Event) {
 			m.met.leaves.Inc()
 		}
 		it := ev.Item
-		m.trace.record(it.Seq, m.eng.Processed(), m.eng.ArrivalNs(),
-			it.P, it.Psky().Float(), ev.FromBand, ev.ToBand, it.Point)
+		m.trace.Record(TraceEvent{
+			Seq: it.Seq, Processed: m.eng.Processed(), At: obs.WallAt(m.eng.ArrivalNs()),
+			Prob: it.P, Psky: it.Psky().Float(), FromBand: ev.FromBand, ToBand: ev.ToBand, Point: it.Point,
+		})
 	}
 	if enter && m.opts.OnEnter != nil {
 		m.opts.OnEnter(m.skyPointOf(ev))

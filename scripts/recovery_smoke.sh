@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Recovery-reopen benchmark smoke: seeds a durable window on disk, then
-# reopens it once through the serial/incremental restore path and once
-# through the parallel-decode + STR bulk-load path, asserting both rows
-# complete and land in the trajectory file. Run from the repo root
-# (`make bench-recovery`).
+# reopens it through the parallel-decode + STR bulk-load recovery path,
+# asserting the row completes and lands in the trajectory file. Run from the
+# repo root (`make bench-recovery`).
 set -euo pipefail
 
 GO=${GO:-go}
@@ -13,8 +12,6 @@ trap 'rm -rf "$tmp"' EXIT
 "$GO" run ./cmd/pskybench -ingest -ingest-short -ingest-recover-only \
     -label ci-recovery -out "$tmp/recovery.json" | tee "$tmp/recovery.log"
 
-grep -q "recover/d=5/w=[0-9]*/serial" "$tmp/recovery.log" \
-    || { echo "recovery smoke: serial recover row missing"; exit 1; }
 grep -q "recover/d=5/w=[0-9]*/fast" "$tmp/recovery.log" \
     || { echo "recovery smoke: fast recover row missing"; exit 1; }
 grep -q '"label": *"ci-recovery"' "$tmp/recovery.json" \

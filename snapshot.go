@@ -162,9 +162,8 @@ func restoreCore(r io.Reader, opt Options) (*Monitor, error) {
 	}
 	m.trace = newTraceRing(opt.TraceDepth)
 	eng, err := core.RestoreFrom(dec, core.RestoreOptions{
-		OnChange:           m.onChange,
-		Metrics:            &m.met.eng,
-		IncrementalRestore: opt.Durability.IncrementalRestore,
+		OnChange: m.onChange,
+		Metrics:  &m.met.eng,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pskyline: restore: %w", err)

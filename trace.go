@@ -2,7 +2,6 @@ package pskyline
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 
 	"pskyline/internal/obs"
@@ -48,118 +47,54 @@ type TraceEvent struct {
 	Processed uint64
 }
 
-// traceRing is a bounded lock-free ring of the last M skyline transitions.
-//
-// There is a single writer (the ingestion path, under the Monitor's mutex)
-// and any number of readers that never block it. Each slot is a seqlock:
-// the writer bumps the slot's version to odd, stores the payload through
-// individual atomics, bumps the version to the next even value, and only
-// then advances the ring's record count. A reader accepts a slot only when
-// it observes the same even version before and after decoding, so a record
-// overwritten mid-read is skipped rather than returned torn. Because every
-// payload field is itself an atomic, concurrent access is well-defined for
-// the race detector too — the versions add cross-field consistency on top.
-//
-// Recording is allocation-free: a fixed number of atomic stores into
-// preallocated slots.
-type traceRing struct {
-	mask  uint64
-	n     atomic.Uint64 // total records ever written
-	slots []traceSlot
-}
+// traceWords is a TraceEvent's payload size in ring words: seq, processed,
+// the arrival stamp, prob, psky, the two bands, the point's dimension count
+// and up to traceMaxDims coordinates.
+const traceWords = 8 + traceMaxDims
 
-type traceSlot struct {
-	ver       atomic.Uint64 // even = stable, odd = mid-write
-	seq       atomic.Uint64
-	processed atomic.Uint64
-	atNs      atomic.Int64
-	prob      atomic.Uint64 // float64 bits
-	psky      atomic.Uint64 // float64 bits
-	from      atomic.Int64
-	to        atomic.Int64
-	dims      atomic.Uint64
-	coord     [traceMaxDims]atomic.Uint64 // float64 bits
-}
-
-// newTraceRing returns a ring holding the last `depth` transitions (rounded
-// up to a power of two, minimum 1).
-func newTraceRing(depth int) *traceRing {
+// newTraceRing returns a ring holding the last `depth` transitions (0
+// selects DefaultTraceDepth).
+func newTraceRing(depth int) *obs.Ring[TraceEvent] {
 	if depth <= 0 {
 		depth = DefaultTraceDepth
 	}
-	cap := 1
-	for cap < depth {
-		cap <<= 1
-	}
-	return &traceRing{mask: uint64(cap - 1), slots: make([]traceSlot, cap)}
+	return obs.NewRing(depth, traceWords, encodeTrace, decodeTrace)
 }
 
-// record appends one transition. Single writer only. atNs is the engine's
-// shared arrival stamp (obs.NowNs), not a fresh clock read: the transition
-// is timestamped at the instant its triggering arrival/expiry began, with no
-// extra wall-clock read on the hot path.
-func (r *traceRing) record(seq, processed uint64, atNs int64, prob, psky float64, from, to int, pt []float64) {
-	pos := r.n.Load()
-	s := &r.slots[pos&r.mask]
-	v := s.ver.Load()
-	s.ver.Store(v + 1)
-	s.seq.Store(seq)
-	s.processed.Store(processed)
-	s.atNs.Store(atNs)
-	s.prob.Store(math.Float64bits(prob))
-	s.psky.Store(math.Float64bits(psky))
-	s.from.Store(int64(from))
-	s.to.Store(int64(to))
-	d := len(pt)
-	if d > traceMaxDims {
-		d = traceMaxDims
+// encodeTrace stores At as its offset on the package clock of internal/obs:
+// the engine's arrival stamp the writer converted with obs.WallAt, so
+// decoding through obs.WallAt again returns the identical time.
+func encodeTrace(ev TraceEvent, w []uint64) {
+	w[0] = ev.Seq
+	w[1] = ev.Processed
+	w[2] = uint64(ev.At.Sub(obs.WallAt(0)))
+	w[3] = math.Float64bits(ev.Prob)
+	w[4] = math.Float64bits(ev.Psky)
+	w[5] = uint64(ev.FromBand)
+	w[6] = uint64(ev.ToBand)
+	d := min(len(ev.Point), traceMaxDims)
+	w[7] = uint64(d)
+	for i, x := range ev.Point[:d] {
+		w[8+i] = math.Float64bits(x)
 	}
-	s.dims.Store(uint64(d))
-	for i := 0; i < d; i++ {
-		s.coord[i].Store(math.Float64bits(pt[i]))
-	}
-	s.ver.Store(v + 2)
-	r.n.Store(pos + 1)
 }
 
-// collect decodes the ring's current contents, oldest first. Records being
-// overwritten concurrently are skipped; everything returned is a complete,
-// untorn transition.
-func (r *traceRing) collect() []TraceEvent {
-	n := r.n.Load()
-	depth := uint64(len(r.slots))
-	start := uint64(0)
-	if n > depth {
-		start = n - depth
+func decodeTrace(w []uint64) TraceEvent {
+	ev := TraceEvent{
+		Seq:       w[0],
+		Processed: w[1],
+		At:        obs.WallAt(int64(w[2])),
+		Prob:      math.Float64frombits(w[3]),
+		Psky:      math.Float64frombits(w[4]),
+		FromBand:  int(w[5]),
+		ToBand:    int(w[6]),
+		Point:     make([]float64, w[7]),
 	}
-	out := make([]TraceEvent, 0, n-start)
-	for pos := start; pos < n; pos++ {
-		s := &r.slots[pos&r.mask]
-		v1 := s.ver.Load()
-		if v1&1 == 1 {
-			continue
-		}
-		d := int(s.dims.Load())
-		ev := TraceEvent{
-			Seq:       s.seq.Load(),
-			Processed: s.processed.Load(),
-			At:        obs.WallAt(s.atNs.Load()),
-			Prob:      math.Float64frombits(s.prob.Load()),
-			Psky:      math.Float64frombits(s.psky.Load()),
-			FromBand:  int(s.from.Load()),
-			ToBand:    int(s.to.Load()),
-			Point:     make([]float64, d),
-		}
-		for i := 0; i < d; i++ {
-			ev.Point[i] = math.Float64frombits(s.coord[i].Load())
-		}
-		if s.ver.Load() != v1 {
-			continue // overwritten while decoding
-		}
-		ev.Entered = ev.ToBand == 0
-		out = append(out, ev)
+	for i := range ev.Point {
+		ev.Point[i] = math.Float64frombits(w[8+i])
 	}
-	return out
+	ev.Entered = ev.ToBand == 0
+	return ev
 }
 
 // Trace returns the most recent skyline transitions, oldest first, up to
@@ -168,5 +103,5 @@ func (r *traceRing) collect() []TraceEvent {
 // overwritten at the instant of the call are omitted rather than returned
 // torn.
 func (m *Monitor) Trace() []TraceEvent {
-	return m.trace.collect()
+	return m.trace.Collect()
 }

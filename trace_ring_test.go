@@ -1,6 +1,7 @@
 package pskyline
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,52 +13,27 @@ import (
 // verify a collected event's internal consistency from its Seq: any mixture
 // of two generations that slipped through the seqlock shows up as a field
 // that disagrees with the derivation.
-func traceRecordArgs(k uint64) (seq, processed uint64, atNs int64, prob, psky float64, from, to int, pt []float64) {
-	seq = k
-	processed = 3*k + 1
-	atNs = int64(5*k + 7)
-	prob = float64(k%97+1) / 100
-	psky = float64(k%89+1) / 200
-	from = int(k%5) - 1
-	to = int(k%4) - 1
-	pt = []float64{float64(k), float64(k + 1), float64(k + 2)}
-	return
-}
-
-func checkTraceEvent(t *testing.T, ev TraceEvent) {
-	t.Helper()
-	k := ev.Seq
-	_, processed, atNs, prob, psky, from, to, pt := traceRecordArgs(k)
-	if ev.Processed != processed {
-		t.Fatalf("torn record %d: Processed = %d, want %d", k, ev.Processed, processed)
-	}
-	if !ev.At.Equal(obs.WallAt(atNs)) {
-		t.Fatalf("torn record %d: At = %v, want %v", k, ev.At, obs.WallAt(atNs))
-	}
-	if ev.Prob != prob || ev.Psky != psky {
-		t.Fatalf("torn record %d: Prob/Psky = %v/%v, want %v/%v", k, ev.Prob, ev.Psky, prob, psky)
-	}
-	if ev.FromBand != from || ev.ToBand != to {
-		t.Fatalf("torn record %d: bands = %d→%d, want %d→%d", k, ev.FromBand, ev.ToBand, from, to)
-	}
-	if ev.Entered != (to == 0) {
-		t.Fatalf("torn record %d: Entered = %v with ToBand %d", k, ev.Entered, ev.ToBand)
-	}
-	if len(ev.Point) != len(pt) {
-		t.Fatalf("torn record %d: %d coordinates, want %d", k, len(ev.Point), len(pt))
-	}
-	for i := range pt {
-		if ev.Point[i] != pt[i] {
-			t.Fatalf("torn record %d: Point[%d] = %v, want %v", k, i, ev.Point[i], pt[i])
-		}
+func traceEventOf(k uint64) TraceEvent {
+	return TraceEvent{
+		Seq:       k,
+		Processed: 3*k + 1,
+		At:        obs.WallAt(int64(5*k + 7)),
+		Prob:      float64(k%97+1) / 100,
+		Psky:      float64(k%89+1) / 200,
+		FromBand:  int(k%5) - 1,
+		ToBand:    int(k%4) - 1,
+		Entered:   k%4 == 1,
+		Point:     []float64{float64(k), float64(k + 1), float64(k + 2)},
 	}
 }
 
-// TestTraceRingWrapTornReads hammers a tiny trace ring with a fast writer
-// while concurrent readers collect continuously: every record the readers
-// accept must be internally consistent (all fields from one write), even
-// though the writer laps the ring thousands of times mid-collect. Run under
-// -race this also certifies the seqlock's atomics are data-race free.
+// TestTraceRingWrapTornReads is the seqlock torture test of obs.Ring with
+// the skyline trace payload: a depth-4 ring wraps every four records while
+// four readers collect continuously; every record they accept must be
+// internally consistent (all fields from one write), even though the writer
+// laps the ring thousands of times mid-collect. Run under -race this also
+// certifies the seqlock's atomics are data-race free. The flight-span payload
+// gets the same test in internal/obs.
 func TestTraceRingWrapTornReads(t *testing.T) {
 	const depth = 4
 	const writes = 200_000
@@ -65,40 +41,39 @@ func TestTraceRingWrapTornReads(t *testing.T) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	var collected atomic.Uint64
+	var accepted atomic.Uint64
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				for _, ev := range r.collect() {
-					checkTraceEvent(t, ev)
-					collected.Add(1)
+				for _, ev := range r.Collect() {
+					if want := traceEventOf(ev.Seq); !reflect.DeepEqual(ev, want) {
+						t.Errorf("torn record: got %+v, want %+v", ev, want)
+						return
+					}
+					accepted.Add(1)
 				}
 			}
 		}()
 	}
-
-	for k := uint64(0); k < writes; k++ {
-		seq, processed, atNs, prob, psky, from, to, pt := traceRecordArgs(k)
-		r.record(seq, processed, atNs, prob, psky, from, to, pt)
+	for k := uint64(1); k <= writes; k++ {
+		r.Record(traceEventOf(k))
 	}
 	stop.Store(true)
 	wg.Wait()
-	if collected.Load() == 0 {
+	if accepted.Load() == 0 {
 		t.Fatal("readers accepted no records at all")
 	}
 
-	// Quiescent: collect returns exactly the last `depth` records, in order.
-	evs := r.collect()
+	// Quiescent: Collect returns exactly the last `depth` records, in order.
+	evs := r.Collect()
 	if len(evs) != depth {
 		t.Fatalf("quiescent collect returned %d records, want %d", len(evs), depth)
 	}
 	for i, ev := range evs {
-		want := uint64(writes - depth + i)
-		if ev.Seq != want {
-			t.Fatalf("quiescent record %d: Seq = %d, want %d", i, ev.Seq, want)
+		if want := traceEventOf(writes - depth + 1 + uint64(i)); !reflect.DeepEqual(ev, want) {
+			t.Fatalf("quiescent record %d: got %+v, want %+v", i, ev, want)
 		}
-		checkTraceEvent(t, ev)
 	}
 }
