@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race bench-concurrent bench bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke bench-repl bench-latency perfbench-test ci
+.PHONY: build vet lint test race bench-concurrent bench bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke bench-repl bench-latency perfbench-test fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,28 @@ semisync-smoke:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# Bounded fuzzing smoke: `make test` only replays each fuzz target's seed
+# corpus; this runs every target's coverage-guided mutation for FUZZTIME
+# (go test -fuzz takes one target and one package per run). A failing input
+# is written to the package's testdata/fuzz directory for reproduction.
+FUZZTIME ?= 5s
+FUZZ_TARGETS = \
+	.:FuzzParseStreamSpec \
+	.:FuzzShardRoute \
+	./internal/repl:FuzzReplFrame \
+	./internal/aggrtree:FuzzBulkLoad \
+	./internal/wal:FuzzWALRecord \
+	./internal/wal:FuzzWALRecordHeader \
+	./internal/netfault:FuzzNetfaultSchedule \
+	./internal/vfs:FuzzVFSSchedule \
+	./internal/core:FuzzEngine
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$fn ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
+
 # Replication push A/B (semisync k=1 vs async, loopback follower) appended
 # to BENCH_ingest.json. Label it after the change being measured.
 bench-repl:
@@ -122,4 +144,4 @@ bench-latency:
 	$(GO) run ./cmd/pskyload -mode sharded -batch 16 -rates 5000,10000,20000 -out BENCH_latency.json -label "$(BENCH_LABEL)-sharded"
 	$(GO) run ./cmd/pskyload -mode sync -no-latency -rates 10000 -out BENCH_latency.json -label "$(BENCH_LABEL)-control"
 
-ci: build lint test race perfbench-test bench-concurrent bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke
+ci: build lint test race perfbench-test fuzz-smoke bench-concurrent bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke

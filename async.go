@@ -66,23 +66,22 @@ func ParseOverloadPolicy(s string) (OverloadPolicy, error) {
 var ErrOverloaded = errors.New("pskyline: async queue full")
 
 // asyncQueue is the bounded single-consumer ingestion queue behind
-// Options.AsyncQueue. The channel carries sequenced operations, and WHO
-// assigns the sequence numbers is the queue's central contract:
+// Options.AsyncQueue. The channel carries writeOps in order and a single
+// consumer hands them, in batches, to the Monitor's one write body
+// (applyOpsLocked), which decides the sequence numbers:
 //
-//   - Standalone monitors (internal mode): producers reserve numbers from
-//     q.next under enqMu — the reservation order is the channel order, and
-//     the single consumer ingests in channel order, so the reserved numbers
-//     are exactly the ones the engine will assign (exactly under Block and
-//     DropNewest; provisionally under DropOldest, whose evictions consume
-//     reserved numbers).
-//   - Shard members (external mode): the ShardedMonitor assigns global
-//     numbers under its own mutex and enqueues pre-numbered ops in order;
-//     the queue must never invent numbers of its own — the old
-//     queue-owns-numbering assumption breaks the moment two shards share
-//     one stream. The consumer applies each drained batch at its carried
-//     numbers and follows it with a watermark tick so expiry keeps up with
-//     the rest of the stream. Under DropOldest an eviction leaves a
-//     sequence gap (the element never existed) instead of renumbering.
+//   - Standalone monitors: producers reserve numbers from q.next under
+//     enqMu so Push/PushBatch can return them, and the apply numbers the
+//     pushes from the engine position. Reservation order is channel order,
+//     so the two agree exactly under Block and DropNewest; under DropOldest
+//     evictions consume reserved numbers and the returned ones are
+//     provisional.
+//   - Shard members: the ShardedMonitor assigns global numbers under its
+//     own mutex and enqueues pre-numbered ops in order; the apply keeps
+//     them. The consumer follows each drained batch with a watermark tick so
+//     expiry keeps up with the rest of the stream. Under DropOldest an
+//     eviction leaves a sequence gap (the element never existed) instead of
+//     renumbering.
 //
 // The channel's capacity is the overload bound; pol decides what happens
 // when it is reached. Drop bookkeeping runs under enqMu, which satisfies
@@ -90,23 +89,21 @@ var ErrOverloaded = errors.New("pskyline: async queue full")
 // ingestion path.
 type asyncQueue struct {
 	m     *Monitor
-	ch    chan shardOp
+	ch    chan writeOp
 	pol   OverloadPolicy
-	ext   bool               // external (front-end) sequencing: shard member mode
 	flush chan chan struct{} // Drain requests, acknowledged when the queue is empty
 	done  chan struct{}      // closed when the consumer goroutine exits
 
 	enqMu  sync.Mutex
-	next   uint64 // next sequence number to reserve (internal mode only)
+	next   uint64 // next sequence number to reserve (standalone monitors)
 	closed bool
 }
 
 func newAsyncQueue(m *Monitor, capacity int, pol OverloadPolicy) *asyncQueue {
 	q := &asyncQueue{
 		m:     m,
-		ch:    make(chan shardOp, capacity),
+		ch:    make(chan writeOp, capacity),
 		pol:   pol,
-		ext:   m.opts.shard != nil,
 		flush: make(chan chan struct{}),
 		done:  make(chan struct{}),
 		next:  m.eng.NextSeq(),
@@ -117,7 +114,7 @@ func newAsyncQueue(m *Monitor, capacity int, pol OverloadPolicy) *asyncQueue {
 
 // put queues one operation according to the overload policy, reporting
 // whether it was accepted. Callers hold enqMu.
-func (q *asyncQueue) put(op shardOp) bool {
+func (q *asyncQueue) put(op writeOp) bool {
 	switch q.pol {
 	case DropNewest:
 		select {
@@ -149,69 +146,22 @@ func (q *asyncQueue) put(op shardOp) bool {
 	}
 }
 
-// enqueue reserves the next sequence number for e and queues it according to
-// the overload policy: Block waits for room, DropNewest fails fast with
-// ErrOverloaded (no number is consumed), DropOldest evicts. The element is
-// already validated; admitNs is its front-end admission stamp (0 with
-// latency tracking off), carried through the queue so the element's measured
-// latency includes its queue residency.
-func (q *asyncQueue) enqueue(e Element, admitNs int64) (uint64, error) {
-	q.enqMu.Lock()
-	defer q.enqMu.Unlock()
-	if q.closed {
-		return 0, ErrClosed
-	}
-	seq := q.next
-	if !q.put(shardOp{el: e, seq: seq, admitNs: admitNs}) {
-		return 0, ErrOverloaded
-	}
-	q.next++
-	return seq, nil
+// dropped counts the suffix a DropNewest cut discards at element i of an
+// n-element batch (put already counted element i itself) and reports it.
+func (q *asyncQueue) dropped(i, n int) error {
+	q.m.met.qDrops.Add(uint64(n - i - 1))
+	return fmt.Errorf("batch elements %d..%d dropped: %w", i, n-1, ErrOverloaded)
 }
 
-// enqueueOp queues one externally numbered operation (shard member mode).
-// The sharded front end assigns sequence numbers under its own mutex and
-// calls enqueueOp in assignment order, so channel order is sequence order;
-// the queue's own counter is never consulted. A DropNewest rejection (or a
-// DropOldest eviction) leaves a permanent gap at the assigned number —
-// numbers are stable in this mode, never renumbered.
-func (q *asyncQueue) enqueueOp(op shardOp) error {
-	q.enqMu.Lock()
-	defer q.enqMu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	if !q.put(op) {
-		return ErrOverloaded
-	}
-	return nil
-}
-
-// enqueueOps queues a pre-numbered batch in order (shard member mode). Under
-// DropNewest a full queue cuts the batch and ErrOverloaded reports the
-// dropped suffix.
-func (q *asyncQueue) enqueueOps(ops []shardOp) error {
-	q.enqMu.Lock()
-	defer q.enqMu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	for i := range ops {
-		if !q.put(ops[i]) {
-			q.m.met.qDrops.Add(uint64(len(ops) - i - 1)) // the put counted ops[i] itself
-			return fmt.Errorf("batch elements %d..%d dropped: %w", i, len(ops)-1, ErrOverloaded)
-		}
-	}
-	return nil
-}
-
-// enqueueBatch reserves consecutive sequence numbers and queues the elements
-// in order. Under Block the whole batch is queued (blocking as the queue
-// fills); under DropNewest a full queue cuts the batch — the accepted prefix
-// keeps its numbers and ErrOverloaded reports the dropped suffix; under
-// DropOldest the whole batch is queued, evicting as needed. Returns the
-// first accepted element's number. admitNs is the batch's shared admission
-// stamp (0 with latency tracking off).
+// enqueueBatch reserves consecutive sequence numbers and queues a
+// standalone monitor's elements in order. Under Block the whole batch is
+// queued (blocking as the queue fills); under DropNewest a full queue cuts
+// the batch — the accepted prefix keeps its numbers and ErrOverloaded
+// reports the dropped suffix, which consumes no number; under DropOldest
+// the whole batch is queued, evicting as needed. Returns the first accepted
+// element's number. The elements are already validated; admitNs is the
+// batch's front-end admission stamp (0 with latency tracking off), carried
+// through the queue so measured latency includes queue residency.
 func (q *asyncQueue) enqueueBatch(es []Element, admitNs int64) (uint64, error) {
 	q.enqMu.Lock()
 	defer q.enqMu.Unlock()
@@ -220,24 +170,51 @@ func (q *asyncQueue) enqueueBatch(es []Element, admitNs int64) (uint64, error) {
 	}
 	first := q.next
 	for i := range es {
-		if !q.put(shardOp{el: es[i], seq: q.next, admitNs: admitNs}) {
-			q.m.met.qDrops.Add(uint64(len(es) - i - 1)) // the put counted es[i] itself
-			return first, fmt.Errorf("batch elements %d..%d dropped: %w", i, len(es)-1, ErrOverloaded)
+		if !q.put(writeOp{el: es[i], seq: q.next, admitNs: admitNs}) {
+			return first, q.dropped(i, len(es))
 		}
 		q.next++
 	}
 	return first, nil
 }
 
+// enqueueOps queues a shard member's pre-numbered batch in order. The
+// sharded front end assigns the numbers under its own mutex and enqueues in
+// assignment order, so channel order is sequence order; the queue's own
+// counter is never consulted. A DropNewest cut (or a DropOldest eviction)
+// leaves a permanent gap at the assigned numbers.
+func (q *asyncQueue) enqueueOps(ops []writeOp) error {
+	q.enqMu.Lock()
+	defer q.enqMu.Unlock()
+	if q.closed {
+		return ErrClosed
+	}
+	for i := range ops {
+		if !q.put(ops[i]) {
+			return q.dropped(i, len(ops))
+		}
+	}
+	return nil
+}
+
+// stop closes the queue to producers and waits for the consumer to apply
+// everything already queued and exit. Idempotent.
+func (q *asyncQueue) stop() {
+	q.enqMu.Lock()
+	if !q.closed {
+		q.closed = true
+		close(q.ch)
+	}
+	q.enqMu.Unlock()
+	<-q.done
+}
+
 // run is the single consumer: it drains the queue in batches of up to
-// maxIngestBatch operations, ingests each batch under the Monitor's lock
-// and publishes one view per batch. buf reserves one extra slot for the
-// watermark tick appended per batch in external mode.
+// maxIngestBatch operations and applies each batch as one write. buf
+// reserves one extra slot for a shard member's watermark tick.
 func (q *asyncQueue) run() {
 	defer close(q.done)
-	buf := make([]shardOp, 0, maxIngestBatch+1)
-	var els []Element // internal-mode unwrap scratch
-	var adm []int64   // internal-mode admission-stamp scratch, parallel to els
+	buf := make([]writeOp, 0, maxIngestBatch+1)
 	for {
 		select {
 		case op, ok := <-q.ch:
@@ -245,7 +222,7 @@ func (q *asyncQueue) run() {
 				return
 			}
 			buf = q.gather(append(buf[:0], op))
-			els, adm = q.ingest(buf, els, adm)
+			q.ingest(buf)
 		case ack := <-q.flush:
 			// Every element sent before the Drain call is already
 			// buffered in ch (its send completed first), so a
@@ -259,7 +236,7 @@ func (q *asyncQueue) run() {
 					}
 					buf = append(buf, op)
 					if len(buf) == maxIngestBatch {
-						els, adm = q.ingest(buf, els, adm)
+						q.ingest(buf)
 						buf = buf[:0]
 					}
 					continue
@@ -267,14 +244,10 @@ func (q *asyncQueue) run() {
 				}
 				break
 			}
-			if len(buf) > 0 {
-				els, adm = q.ingest(buf, els, adm)
-			} else if q.ext {
-				// An idle shard still advances to the current global
-				// watermark, so a Drain of the sharded front end leaves
-				// every shard expired to the same stream position.
-				q.m.applyWatermark()
-			}
+			// The last batch may be empty: an idle shard member still
+			// applies its watermark tick, so a Drain of the sharded front
+			// end leaves every shard expired to the same stream position.
+			q.ingest(buf)
 			close(ack)
 		}
 	}
@@ -282,7 +255,7 @@ func (q *asyncQueue) run() {
 
 // gather opportunistically tops the batch up with whatever is already
 // queued, without blocking.
-func (q *asyncQueue) gather(buf []shardOp) []shardOp {
+func (q *asyncQueue) gather(buf []writeOp) []writeOp {
 	for len(buf) < maxIngestBatch {
 		select {
 		case op, ok := <-q.ch:
@@ -297,33 +270,21 @@ func (q *asyncQueue) gather(buf []shardOp) []shardOp {
 	return buf
 }
 
-// ingest applies one drained batch. External (shard member) mode appends a
-// watermark tick — so expiry catches up to sequence numbers routed to other
-// shards — and hands the pre-numbered ops to applyOps; a durability failure
-// there is already latched in the monitor (later pushes fail fast) and the
-// batch is dropped, mirroring ingestBatch. Internal mode unwraps the
-// elements and their admission stamps and runs the classic engine-numbered
-// batch path, passing the current queue depth so flight records capture the
-// backlog behind the batch. els and adm are the unwrap scratches, returned
-// for reuse; buf's payload references are cleared either way so the scratch
-// does not pin expired points.
-func (q *asyncQueue) ingest(buf []shardOp, els []Element, adm []int64) ([]Element, []int64) {
-	if q.ext {
-		if op, ok := q.m.wmOp(); ok {
-			buf = append(buf, op)
-		}
-		_ = q.m.applyOps(buf)
-	} else {
-		els, adm = els[:0], adm[:0]
-		for i := range buf {
-			els = append(els, buf[i].el)
-			adm = append(adm, buf[i].admitNs)
-		}
-		q.m.ingestBatch(els, adm, len(q.ch))
+// ingest applies one drained batch, passing the current queue depth so the
+// flight record captures the backlog behind it. A shard member appends a
+// watermark tick first, so expiry catches up to sequence numbers routed to
+// other shards. A durability failure is already latched by the apply (later
+// pushes fail fast) and the batch is dropped. buf's payload references are
+// cleared so the scratch does not pin expired points.
+func (q *asyncQueue) ingest(buf []writeOp) {
+	if op, ok := q.m.wmOp(); ok {
+		buf = append(buf, op)
 	}
-	for i := range buf {
-		buf[i] = shardOp{}
+	if len(buf) == 0 {
+		return
 	}
+	_, _ = q.m.applyOps(buf, len(q.ch))
+	clear(buf)
 	// Semi-sync replication: the consumer, not the enqueuer, carries the
 	// quorum wait, so backpressure surfaces as queue depth rather than a
 	// blocked enqueue. Waiter errors (replication server shutdown) are
@@ -332,40 +293,6 @@ func (q *asyncQueue) ingest(buf []shardOp, els []Element, adm []int64) ([]Elemen
 	if q.m.commitWaiter.Load() != nil {
 		_ = q.m.commitWait(q.m.NextSeq())
 	}
-	return els, adm
-}
-
-// ingestBatch runs a drained batch through the engine — as one engine-level
-// batch insert for count-based windows — and publishes one fresh view. The
-// elements were validated before enqueueing, so engine errors indicate a
-// bug, not bad input. With durability the batch is logged under one group
-// commit first; an unrecoverable log failure (the WAL detached) latches the
-// monitor's durability error (later pushes fail fast with it) and drops the
-// batch rather than applying unlogged elements — recoverable failures were
-// already absorbed by the WAL's Retry/Shed policy and return no error.
-// admits carries the elements' front-end admission stamps (parallel to es)
-// and queue the async backlog at apply entry, for latency recording.
-func (m *Monitor) ingestBatch(es []Element, admits []int64, queue int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sp opSpan
-	if len(admits) > 0 {
-		m.beginOpLocked(&sp, admits[0], queue)
-	}
-	if m.wal != nil && len(es) > 0 {
-		if err := m.logBatchLocked(es); err != nil {
-			return
-		}
-	}
-	first, err := m.ingestBatchLocked(es)
-	if err != nil {
-		panic("pskyline: validated element rejected by engine: " + err.Error())
-	}
-	sp.applyDone()
-	m.refreshTopKLocked()
-	m.publishLocked()
-	m.endOpLocked(&sp, first, len(es), admits, nil)
-	m.maybeCheckpointLocked(len(es))
 }
 
 // Drain blocks until every element enqueued before the call has been
@@ -392,14 +319,8 @@ func (m *Monitor) Drain() {
 // idempotent and safe to call concurrently. Without an async queue or
 // durability it is a no-op.
 func (m *Monitor) Close() error {
-	if q := m.aq; q != nil {
-		q.enqMu.Lock()
-		if !q.closed {
-			q.closed = true
-			close(q.ch)
-		}
-		q.enqMu.Unlock()
-		<-q.done
+	if m.aq != nil {
+		m.aq.stop()
 	}
 	m.stopReattacher()
 	m.mu.Lock()

@@ -92,7 +92,9 @@ func sameView(t *testing.T, label string, want, got *pskyline.View) {
 // TestPushBatchDifferential proves that the same stream produces
 // byte-identical final skyline state whether it is ingested element-wise
 // with Push, in random-size PushBatch chunks, or through the bounded async
-// queue — and that the final state agrees with the exact full-window oracle.
+// queue — under a count window, where the final state must also agree with
+// the exact full-window oracle, and under a time window (Period), where
+// every write interleaves timestamp expiry with insertion.
 func TestPushBatchDifferential(t *testing.T) {
 	const (
 		dims   = 3
@@ -101,90 +103,110 @@ func TestPushBatchDifferential(t *testing.T) {
 	)
 	thresholds := []float64{0.5, 0.3}
 	stream := genElements(11, n, dims, true)
-
-	opt := pskyline.Options{Dims: dims, Window: window, Thresholds: thresholds}
-
-	// (a) Sequential element-wise Push: the reference.
-	seq := mustMonitor(t, opt)
-	for i, e := range stream {
-		s, err := seq.Push(e)
-		if err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-		if s != uint64(i) {
-			t.Fatalf("push %d: got seq %d", i, s)
-		}
+	// The time-window input carries the same points with timestamps that
+	// advance by 0–2 per element, so expiry runs in bursts and across ties.
+	timed := append([]pskyline.Element(nil), stream...)
+	tr := rand.New(rand.NewSource(29))
+	for i := 1; i < n; i++ {
+		timed[i].TS = timed[i-1].TS + int64(tr.Intn(3))
 	}
 
-	// (b) PushBatch in random-size chunks.
-	batched := mustMonitor(t, opt)
-	r := rand.New(rand.NewSource(23))
-	for i := 0; i < n; {
-		sz := 1 + r.Intn(97)
-		if i+sz > n {
-			sz = n - i
-		}
-		first, err := batched.PushBatch(stream[i : i+sz])
-		if err != nil {
-			t.Fatalf("batch at %d: %v", i, err)
-		}
-		if first != uint64(i) {
-			t.Fatalf("batch at %d: got first seq %d", i, first)
-		}
-		i += sz
-	}
+	for _, tc := range []struct {
+		name   string
+		opt    pskyline.Options
+		stream []pskyline.Element
+	}{
+		{"count", pskyline.Options{Dims: dims, Window: window, Thresholds: thresholds}, stream},
+		{"period", pskyline.Options{Dims: dims, Period: window / 2, Thresholds: thresholds}, timed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream, opt := tc.stream, tc.opt
 
-	// (c) Async queue, mixing Push and PushBatch, drained at the end.
-	async := mustMonitor(t, pskyline.Options{
-		Dims: dims, Window: window, Thresholds: thresholds, AsyncQueue: 64,
-	})
-	for i := 0; i < n; {
-		if r.Intn(2) == 0 {
-			s, err := async.Push(stream[i])
-			if err != nil {
-				t.Fatalf("async push %d: %v", i, err)
+			// (a) Sequential element-wise Push: the reference.
+			seq := mustMonitor(t, opt)
+			for i, e := range stream {
+				s, err := seq.Push(e)
+				if err != nil {
+					t.Fatalf("push %d: %v", i, err)
+				}
+				if s != uint64(i) {
+					t.Fatalf("push %d: got seq %d", i, s)
+				}
 			}
-			if s != uint64(i) {
-				t.Fatalf("async push %d: got seq %d", i, s)
+
+			// (b) PushBatch in random-size chunks.
+			batched := mustMonitor(t, opt)
+			r := rand.New(rand.NewSource(23))
+			for i := 0; i < n; {
+				sz := 1 + r.Intn(97)
+				if i+sz > n {
+					sz = n - i
+				}
+				first, err := batched.PushBatch(stream[i : i+sz])
+				if err != nil {
+					t.Fatalf("batch at %d: %v", i, err)
+				}
+				if first != uint64(i) {
+					t.Fatalf("batch at %d: got first seq %d", i, first)
+				}
+				i += sz
 			}
-			i++
-			continue
-		}
-		sz := 1 + r.Intn(97)
-		if i+sz > n {
-			sz = n - i
-		}
-		first, err := async.PushBatch(stream[i : i+sz])
-		if err != nil {
-			t.Fatalf("async batch at %d: %v", i, err)
-		}
-		if first != uint64(i) {
-			t.Fatalf("async batch at %d: got first seq %d", i, first)
-		}
-		i += sz
-	}
-	async.Drain()
 
-	want := seq.View()
-	sameView(t, "batched vs sequential", want, batched.View())
-	sameView(t, "async vs sequential", want, async.View())
+			// (c) Async queue, mixing Push and PushBatch, drained at the end.
+			aopt := opt
+			aopt.AsyncQueue = 64
+			async := mustMonitor(t, aopt)
+			for i := 0; i < n; {
+				if r.Intn(2) == 0 {
+					s, err := async.Push(stream[i])
+					if err != nil {
+						t.Fatalf("async push %d: %v", i, err)
+					}
+					if s != uint64(i) {
+						t.Fatalf("async push %d: got seq %d", i, s)
+					}
+					i++
+					continue
+				}
+				sz := 1 + r.Intn(97)
+				if i+sz > n {
+					sz = n - i
+				}
+				first, err := async.PushBatch(stream[i : i+sz])
+				if err != nil {
+					t.Fatalf("async batch at %d: %v", i, err)
+				}
+				if first != uint64(i) {
+					t.Fatalf("async batch at %d: got first seq %d", i, first)
+				}
+				i += sz
+			}
+			async.Drain()
 
-	// After Close the queue rejects writes but the final view keeps serving.
-	if err := async.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := async.Close(); err != nil {
-		t.Fatalf("second close: %v", err)
-	}
-	if _, err := async.Push(stream[0]); err != pskyline.ErrClosed {
-		t.Fatalf("push after close: %v", err)
-	}
-	if _, err := async.PushBatch(stream[:3]); err != pskyline.ErrClosed {
-		t.Fatalf("batch after close: %v", err)
-	}
-	sameView(t, "async after close", want, async.View())
+			want := seq.View()
+			sameView(t, "batched vs sequential", want, batched.View())
+			sameView(t, "async vs sequential", want, async.View())
 
-	checkAgainstOracle(t, want, stream, window, thresholds)
+			// After Close the queue rejects writes but the final view keeps serving.
+			if err := async.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := async.Close(); err != nil {
+				t.Fatalf("second close: %v", err)
+			}
+			if _, err := async.Push(stream[0]); err != pskyline.ErrClosed {
+				t.Fatalf("push after close: %v", err)
+			}
+			if _, err := async.PushBatch(stream[:3]); err != pskyline.ErrClosed {
+				t.Fatalf("batch after close: %v", err)
+			}
+			sameView(t, "async after close", want, async.View())
+
+			if opt.Window > 0 {
+				checkAgainstOracle(t, want, stream, window, thresholds)
+			}
+		})
+	}
 }
 
 // checkAgainstOracle validates a final view against the O(W²) full-window
@@ -252,6 +274,7 @@ func TestPushBatchValidation(t *testing.T) {
 		{Point: []float64{1}, Prob: 0.5},     // wrong dimensionality
 		{Point: []float64{1, 2}, Prob: 0},    // probability out of range
 		{Point: []float64{1, 2}, Prob: 1.01}, // probability out of range
+		{Point: []float64{1, 2}, Prob: math.NaN()},
 	} {
 		if _, err := m.PushBatch([]pskyline.Element{good, bad}); err == nil {
 			t.Fatalf("batch with %+v accepted", bad)

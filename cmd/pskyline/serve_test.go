@@ -135,6 +135,56 @@ func TestServeMuxEndpoints(t *testing.T) {
 	}
 }
 
+// TestRegistryMuxSkylineQuery: a stream's skyline endpoint answers an
+// ad-hoc q in range and rejects one outside it — NaN included — with 400
+// instead of returning every candidate.
+func TestRegistryMuxSkylineQuery(t *testing.T) {
+	reg := pskyline.NewStreamRegistry(pskyline.Durability{})
+	defer reg.CloseAll()
+	specs, err := pskyline.ParseStreamSpecs("hot:dims=2,window=100,q=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := reg.Open(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range genCSV(3, 100) {
+		el, err := parseLine(l, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := op.Push(el); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(newRegistryMux(reg))
+	defer srv.Close()
+
+	body, _ := get(t, srv, "/streams/hot/skyline?q=0.5")
+	var sky struct {
+		Processed uint64         `json:"processed"`
+		Skyline   []skyPointJSON `json:"skyline"`
+	}
+	if err := json.Unmarshal([]byte(body), &sky); err != nil {
+		t.Fatalf("skyline?q=0.5 invalid JSON: %v", err)
+	}
+	if sky.Processed != 100 {
+		t.Errorf("skyline?q=0.5 processed %d, want 100", sky.Processed)
+	}
+	for _, q := range []string{"NaN", "0.1", "1.5", "x"} {
+		resp, err := srv.Client().Get(srv.URL + "/streams/hot/skyline?q=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("skyline?q=%s status %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
 // TestServeMuxRecovering verifies the pre-recovery state: with no monitor in
 // the handle yet, every data endpoint answers 503 {"status":"recovering"},
 // and flipping the handle to a live monitor switches /healthz to "serving".

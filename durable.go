@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"pskyline/internal/vfs"
@@ -172,9 +173,14 @@ type RecoveryInfo struct {
 // before the crash.
 //
 // The caller must pass the same core Options (Dims, Window/Period,
-// Thresholds, MaxEntries) on every Open of the same directory: the WAL logs
-// only elements, not configuration. A mismatch with a recovered checkpoint
-// is rejected.
+// Thresholds) on every Open of the same directory: the WAL logs only
+// elements, not configuration. A mismatch with a recovered checkpoint is
+// rejected; thresholds are compared as a set (order and duplicates do not
+// matter). AddThreshold and RemoveThreshold are not logged either: a
+// checkpoint records the threshold set current when it was taken, so a
+// directory whose thresholds changed reopens with that set, and Open must
+// be passed it rather than the original one. MaxEntries (the R-tree shape)
+// is taken from the checkpoint; the option applies to a fresh directory.
 func Open(opt Options) (*Monitor, error) {
 	d := opt.Durability
 	if d.Dir == "" {
@@ -300,13 +306,10 @@ func Open(opt Options) (*Monitor, error) {
 			if r.Seq < want {
 				return fmt.Errorf("log record %d behind shard engine position %d", r.Seq, want)
 			}
-			return m.replayShardLocked(r)
-		}
-		if r.Seq != want {
+		} else if r.Seq != want {
 			return fmt.Errorf("log record %d does not continue engine position %d (checkpoint older than the retained log?)", r.Seq, want)
 		}
-		_, err := m.ingestLocked(Element{Point: r.Point, Prob: r.Prob, TS: r.TS})
-		return err
+		return m.pushLocked(r.Seq, Element{Point: r.Point, Prob: r.Prob, TS: r.TS})
 	})
 	m.replaying = false
 	if rerr != nil {
@@ -345,6 +348,14 @@ func (m *Monitor) checkConfig(opt Options) error {
 	}
 	if opt.Period != m.period {
 		return fmt.Errorf("pskyline: open: Options.Period=%d but the recovered state has period %d", opt.Period, m.period)
+	}
+	// Compare thresholds as the engine normalizes them: sorted descending,
+	// duplicates dropped.
+	ths := slices.Clone(opt.Thresholds)
+	slices.Sort(ths)
+	slices.Reverse(ths)
+	if got := m.eng.Thresholds(); !slices.Equal(slices.Compact(ths), got) {
+		return fmt.Errorf("pskyline: open: Options.Thresholds=%v but the recovered state maintains thresholds %v", opt.Thresholds, got)
 	}
 	return nil
 }
@@ -449,26 +460,23 @@ func (m *Monitor) Checkpoint() error {
 	return m.checkpointLocked()
 }
 
-// logOneLocked appends one element to the WAL and commits it, before the
-// engine applies it. Callers hold m.mu.
-func (m *Monitor) logOneLocked(e Element) error {
-	if err := m.wal.AppendElement(m.eng.NextSeq(), e.Point, e.Prob, e.TS); err != nil {
-		return m.walFail(err)
-	}
-	if err := m.wal.Commit(); err != nil {
-		return m.walFail(err)
-	}
-	return nil
-}
-
-// logBatchLocked appends a batch under one group commit: len(es) appends,
-// one write, at most one fsync. Callers hold m.mu.
-func (m *Monitor) logBatchLocked(es []Element) error {
-	seq := m.eng.NextSeq()
-	for i := range es {
-		if err := m.wal.AppendElement(seq+uint64(i), es[i].Point, es[i].Prob, es[i].TS); err != nil {
+// logOpsLocked appends a write's pushes under one group commit: one append
+// per push, one write, at most one fsync. Ticks are not logged — they are
+// derivable (recovery re-establishes the watermark from every shard's
+// recovered position). Callers hold m.mu.
+func (m *Monitor) logOpsLocked(ops []writeOp) error {
+	logged := false
+	for i := range ops {
+		if ops[i].tick {
+			continue
+		}
+		if err := m.wal.AppendElement(ops[i].seq, ops[i].el.Point, ops[i].el.Prob, ops[i].el.TS); err != nil {
 			return m.walFail(err)
 		}
+		logged = true
+	}
+	if !logged {
+		return nil
 	}
 	if err := m.wal.Commit(); err != nil {
 		return m.walFail(err)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pskyline"
+	"pskyline/internal/wal"
 )
 
 // durStream produces a deterministic payload-free stream (payloads are not
@@ -515,12 +516,74 @@ func TestOpenConfigMismatch(t *testing.T) {
 	if _, err := pskyline.Open(badDims); err == nil || !strings.Contains(err.Error(), "dimensions") {
 		t.Fatalf("dims mismatch: err = %v", err)
 	}
+	badQ := opt
+	badQ.Thresholds = []float64{0.6}
+	if _, err := pskyline.Open(badQ); err == nil || !strings.Contains(err.Error(), "thresholds") {
+		t.Fatalf("thresholds mismatch: err = %v", err)
+	}
+	// Thresholds compare as the engine normalizes them: order and
+	// duplicates do not matter.
+	sameQ := opt
+	sameQ.Thresholds = []float64{0.3, 0.6, 0.3}
+	m1 := mustOpen(t, sameQ)
+	if got := m1.Thresholds(); len(got) != 2 || got[0] != 0.6 || got[1] != 0.3 {
+		t.Fatalf("reopened thresholds %v", got)
+	}
+	m1.Close()
 
 	m2 := mustOpen(t, opt) // matching options still open fine
 	if got := m2.Stats().Processed; got != 40 {
 		t.Fatalf("recovered position %d, want 40", got)
 	}
 	m2.Close()
+}
+
+// TestDurableNaNProbability: a NaN occurrence probability is rejected
+// before it reaches the log, so the directory keeps reopening, and a log
+// that already holds a NaN record makes Open fail with an error rather than
+// panic in replay.
+func TestDurableNaNProbability(t *testing.T) {
+	dir := t.TempDir()
+	opt := durOpt(dir, "never", -1)
+	m := mustOpen(t, opt)
+	els := durStream(5, 20, 3, 1)
+	pushAll(t, m, els)
+	nan := pskyline.Element{Point: []float64{0.1, 0.2, 0.3}, Prob: math.NaN(), TS: 21}
+	if _, err := m.Push(nan); err == nil {
+		t.Fatal("durable Push of a NaN probability accepted")
+	}
+	if _, err := m.PushBatch([]pskyline.Element{els[0], nan}); err == nil {
+		t.Fatal("durable PushBatch holding a NaN probability accepted")
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m = mustOpen(t, opt)
+	if got := m.Stats().Processed; got != 20 {
+		t.Fatalf("reopened at %d, want 20", got)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Append a NaN record directly, as a build without the check did.
+	w, _, err := wal.Open(dir, wal.Options{SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendElement(20, nan.Point, nan.Prob, nan.TS); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := pskyline.Open(opt); err == nil {
+		m.Close()
+		t.Fatal("Open replayed a NaN-probability record")
+	}
 }
 
 // TestAsyncDurableCrash routes a mixed Push/PushBatch stream through the

@@ -10,14 +10,8 @@ import "pskyline/internal/vfs"
 // Torn writes from power failures are simulated on top of this by truncating
 // or corrupting the segment files directly.
 func (m *Monitor) Crash() {
-	if q := m.aq; q != nil {
-		q.enqMu.Lock()
-		if !q.closed {
-			q.closed = true
-			close(q.ch)
-		}
-		q.enqMu.Unlock()
-		<-q.done
+	if m.aq != nil {
+		m.aq.stop()
 	}
 	m.stopReattacher()
 	if m.wal != nil {

@@ -188,7 +188,7 @@ func NewEngine(opt Options) (*Engine, error) {
 	}
 	qf = dedup
 	for _, q := range qf {
-		if q <= 0 || q > 1 {
+		if !(q > 0 && q <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("core: threshold %v out of (0,1]", q)
 		}
 	}
@@ -353,26 +353,27 @@ func (e *Engine) checkElem(pt geom.Point, p float64) error {
 	if len(pt) != e.dims {
 		return fmt.Errorf("core: point dimensionality %d != %d", len(pt), e.dims)
 	}
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) { // also rejects NaN
 		return fmt.Errorf("core: occurrence probability %v out of (0,1]", p)
 	}
 	return nil
 }
 
-// PushAt processes an arrival carrying an externally assigned sequence
-// number. It is the sharding seam: a sharded front end assigns global
-// sequence numbers and routes each element to one shard engine, so a shard
-// sees a sparse, strictly increasing subsequence of the global stream.
-// Because the count-based auto-expiry arithmetic assumes dense sequences,
-// PushAt requires caller-driven expiry (Window == 0, arrivals tracked):
-// the caller expires by sequence (ExpireSeqBelow) or timestamp
-// (ExpireOlderThan) before pushing.
+// PushAt processes an arrival carrying an explicit sequence number. It is
+// the sharding seam: a sharded front end assigns global sequence numbers
+// and routes each element to one shard engine, so a shard sees a sparse,
+// strictly increasing subsequence of the global stream. Because the
+// count-based auto-expiry arithmetic assumes dense sequences, a sparse seq
+// requires caller-driven expiry (Window == 0, arrivals tracked): the caller
+// expires by sequence (ExpireSeqBelow) or timestamp (ExpireOlderThan)
+// before pushing. A count-window engine accepts only the dense
+// continuation seq == NextSeq(), which makes PushAt equivalent to Push.
 func (e *Engine) PushAt(seq uint64, pt geom.Point, p float64, ts int64) (*aggrtree.Item, error) {
 	if err := e.checkElem(pt, p); err != nil {
 		return nil, err
 	}
-	if e.window != 0 {
-		return nil, fmt.Errorf("core: PushAt requires caller-driven expiry (Window == 0), engine has window %d", e.window)
+	if e.window != 0 && seq != e.next {
+		return nil, fmt.Errorf("core: PushAt sequence %d on an engine with window %d must continue at %d (sparse sequences need Window == 0)", seq, e.window, e.next)
 	}
 	if seq < e.next {
 		return nil, fmt.Errorf("core: PushAt sequence %d behind engine position %d", seq, e.next)

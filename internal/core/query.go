@@ -52,7 +52,7 @@ func (e *Engine) Skyline() []Result {
 // skipped. No aggregate information is updated.
 func (e *Engine) Query(qPrime float64) ([]Result, error) {
 	qk := e.qf[len(e.qf)-1]
-	if qPrime < qk {
+	if !(qPrime >= qk) { // also rejects NaN
 		return nil, fmt.Errorf("core: ad-hoc threshold %v below maintained minimum %v", qPrime, qk)
 	}
 	if qPrime > 1 {
@@ -172,7 +172,7 @@ func (e *Engine) TopK(k int, minQ float64) ([]Result, error) {
 		return nil, nil
 	}
 	qk := e.qf[len(e.qf)-1]
-	if minQ < qk {
+	if !(minQ >= qk) { // also rejects NaN
 		return nil, fmt.Errorf("core: top-k threshold %v below maintained minimum %v", minQ, qk)
 	}
 	floor := prob.FromFloat(minQ)

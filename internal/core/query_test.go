@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,6 +46,12 @@ func TestQueryBoundsValidation(t *testing.T) {
 	}
 	if _, err := e.TopK(3, 0.1); err == nil {
 		t.Error("topk below q accepted")
+	}
+	if _, err := e.Query(math.NaN()); err == nil {
+		t.Error("query at NaN accepted")
+	}
+	if _, err := e.TopK(3, math.NaN()); err == nil {
+		t.Error("topk at NaN accepted")
 	}
 	if top, err := e.TopK(0, 0.3); err != nil || top != nil {
 		t.Errorf("topk k=0 = %v, %v", top, err)
@@ -110,6 +117,7 @@ func TestEngineOptionValidation(t *testing.T) {
 		{Dims: 2, Window: 10, Thresholds: []float64{-0.1}},
 		{Dims: 2, Window: 10, Thresholds: []float64{0}},
 		{Dims: 2, Window: 10, Thresholds: []float64{1.01}},
+		{Dims: 2, Window: 10, Thresholds: []float64{0.3, math.NaN()}},
 	}
 	for i, opt := range bad {
 		if _, err := NewEngine(opt); err == nil {
@@ -140,6 +148,16 @@ func TestPushValidationEngine(t *testing.T) {
 	}
 	if _, err := e.Push(geom.Point{1, 2}, 1.1, 0); err == nil {
 		t.Error("p>1 accepted")
+	}
+	if _, err := e.Push(geom.Point{1, 2}, math.NaN(), 0); err == nil {
+		t.Error("p=NaN accepted")
+	}
+	// A count-window engine takes PushAt only as the dense continuation.
+	if _, err := e.PushAt(5, geom.Point{1, 2}, 0.5, 0); err == nil {
+		t.Error("sparse PushAt on a count-window engine accepted")
+	}
+	if it, err := e.PushAt(0, geom.Point{1, 2}, 0.5, 0); err != nil || it.Seq != 0 || e.NextSeq() != 1 {
+		t.Errorf("dense PushAt: %v, next %d", err, e.NextSeq())
 	}
 }
 

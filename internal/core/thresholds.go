@@ -17,7 +17,7 @@ import (
 // Adding or removing thresholds renumbers bands, so no band-transition
 // events are emitted for the split; continuous queries are unaffected.
 func (e *Engine) AddThreshold(q float64) error {
-	if q <= 0 || q > 1 {
+	if !(q > 0 && q <= 1) { // also rejects NaN
 		return fmt.Errorf("core: threshold %v out of (0,1]", q)
 	}
 	qk := e.qf[len(e.qf)-1]

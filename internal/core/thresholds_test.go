@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"pskyline/internal/streamgen"
@@ -121,6 +122,9 @@ func TestThresholdChangeValidation(t *testing.T) {
 	}
 	if err := e.AddThreshold(1.5); err == nil {
 		t.Error("threshold above 1 accepted")
+	}
+	if err := e.AddThreshold(math.NaN()); err == nil {
+		t.Error("NaN threshold accepted")
 	}
 	if err := e.RemoveThreshold(0.9); err == nil {
 		t.Error("unknown threshold removal accepted")

@@ -20,7 +20,7 @@ func NewTopKTracker(eng *Engine, k int, minQ float64) (*TopKTracker, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: top-k tracker needs k > 0, got %d", k)
 	}
-	if qk := eng.qf[len(eng.qf)-1]; minQ < qk {
+	if qk := eng.qf[len(eng.qf)-1]; !(minQ >= qk) { // also rejects NaN
 		return nil, fmt.Errorf("core: top-k threshold %v below maintained minimum %v", minQ, qk)
 	}
 	t := &TopKTracker{eng: eng, k: k, minQ: minQ}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -17,6 +18,9 @@ func TestTopKTrackerValidation(t *testing.T) {
 	}
 	if _, err := NewTopKTracker(eng, 3, 0.1); err == nil {
 		t.Error("minQ below q accepted")
+	}
+	if _, err := NewTopKTracker(eng, 3, math.NaN()); err == nil {
+		t.Error("NaN minQ accepted")
 	}
 }
 

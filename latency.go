@@ -91,24 +91,30 @@ func (m *Monitor) admitNow() int64 {
 // allocation — and degenerates to a few nil-checks when tracking is off.
 type opSpan struct {
 	on      bool
-	admitNs int64 // earliest admission stamp among the operation's elements
+	admitNs int64 // admission stamp of the operation's first stamped element
 	startNs int64 // lock acquired, engine work about to start
 	applyNs int64 // engine work done, publication about to start
 	queue   int32 // async queue depth at apply entry (-1 synchronous)
 }
 
-// beginOpLocked arms the span and resets the engine's per-operation stage
-// accumulator. Callers hold m.mu. A zero admit stamp (tracking off, or a
-// tick-only batch) leaves the span disarmed.
-func (m *Monitor) beginOpLocked(sp *opSpan, admitNs int64, queue int) {
-	if !m.latOn || admitNs == 0 {
+// beginOpLocked arms the span with the admission stamp of the write's first
+// stamped op and resets the engine's per-operation stage accumulator.
+// Callers hold m.mu. Without a stamp (tracking off, or a tick-only write)
+// the span stays disarmed.
+func (m *Monitor) beginOpLocked(sp *opSpan, ops []writeOp, queue int) {
+	if !m.latOn {
 		return
 	}
-	sp.on = true
-	sp.admitNs = admitNs
-	sp.queue = int32(queue)
-	sp.startNs = obs.NowNs()
-	m.met.eng.ResetSpan()
+	for i := range ops {
+		if a := ops[i].admitNs; a != 0 {
+			sp.on = true
+			sp.admitNs = a
+			sp.queue = int32(queue)
+			sp.startNs = obs.NowNs()
+			m.met.eng.ResetSpan()
+			return
+		}
+	}
 }
 
 // applyDone marks the engine-applied instant (before topk refresh and view
@@ -120,38 +126,19 @@ func (sp *opSpan) applyDone() {
 }
 
 // endOpLocked closes the span after the publication that made the operation
-// visible: it records one applied and one visible latency sample per element
-// and files one flight record for the operation. Exactly one of admits
-// (per-element stamps of an async internal batch) and ops (a shard-member op
-// batch, whose non-tick entries carry their own stamps) may be non-nil; with
-// both nil all n elements share sp.admitNs. Callers hold m.mu.
-func (m *Monitor) endOpLocked(sp *opSpan, firstSeq uint64, n int, admits []int64, ops []shardOp) {
-	if !sp.on || n == 0 {
+// visible: it records one applied and one visible latency sample per pushed
+// element, against the element's own admission stamp, and files one flight
+// record for the n pushes of the operation. Callers hold m.mu.
+func (m *Monitor) endOpLocked(sp *opSpan, firstSeq uint64, n int, ops []writeOp) {
+	if !sp.on {
 		return
 	}
 	end := obs.NowNs()
 	mm := &m.met
-	switch {
-	case ops != nil:
-		for i := range ops {
-			if ops[i].tick || ops[i].admitNs == 0 {
-				continue
-			}
-			mm.latApplied.Record(end, time.Duration(sp.applyNs-ops[i].admitNs))
-			mm.latVisible.Record(end, time.Duration(end-ops[i].admitNs))
-		}
-	case admits != nil:
-		for _, a := range admits {
-			if a == 0 {
-				continue
-			}
+	for i := range ops {
+		if a := ops[i].admitNs; a != 0 {
 			mm.latApplied.Record(end, time.Duration(sp.applyNs-a))
 			mm.latVisible.Record(end, time.Duration(end-a))
-		}
-	default:
-		for i := 0; i < n; i++ {
-			mm.latApplied.Record(end, time.Duration(sp.applyNs-sp.admitNs))
-			mm.latVisible.Record(end, time.Duration(end-sp.admitNs))
 		}
 	}
 	fs := obs.Span{

@@ -36,6 +36,7 @@ package pskyline
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -199,7 +200,7 @@ type Monitor struct {
 	view     atomic.Pointer[View]
 	lastGens []uint64 // engine band generations at last publish
 
-	batch []core.BatchElem // scratch for batch ingestion, guarded by mu
+	ops []writeOp // synchronous write scratch, guarded by mu
 
 	// Observability: the metrics block (stage histograms recorded by the
 	// engine, mirrors refreshed at publish), the lock-free skyline trace
@@ -406,82 +407,34 @@ func (m *Monitor) validate(e Element) error {
 	if len(e.Point) != m.dims {
 		return fmt.Errorf("pskyline: point dimensionality %d != %d", len(e.Point), m.dims)
 	}
-	if e.Prob <= 0 || e.Prob > 1 {
+	if !(e.Prob > 0 && e.Prob <= 1) { // also rejects NaN
 		return fmt.Errorf("pskyline: occurrence probability %v out of (0,1]", e.Prob)
 	}
 	return nil
 }
 
-// Push processes one arriving element and returns its sequence number.
+// Push processes one arriving element and returns its sequence number. It
+// is PushBatch of one element.
 //
 // With an async queue (Options.AsyncQueue > 0) Push only validates and
 // enqueues the element — blocking when the queue is full — and returns the
 // sequence number the element will receive once the background goroutine
 // ingests it; call Drain to wait for queries to observe it.
 func (m *Monitor) Push(e Element) (uint64, error) {
-	if m.opts.shard != nil {
-		return 0, errShardMember
-	}
-	if err := m.validate(e); err != nil {
-		return 0, err
-	}
-	if p := m.walErr.Load(); p != nil {
-		return 0, *p
-	}
-	admit := m.admitNow()
-	if m.aq != nil {
-		return m.aq.enqueue(e, admit)
-	}
-	seq, err := m.pushOne(e, admit)
-	if err != nil {
-		return 0, err
-	}
-	// Semi-sync replication waits outside the ingest lock: the element is
-	// applied and locally durable; the waiter only gates the return until
-	// the follower quorum acks (or the stream degrades to async).
-	if err := m.commitWait(seq + 1); err != nil {
-		return seq, err
-	}
-	return seq, nil
-}
-
-// pushOne is Push's locked body: log, ingest, publish one element.
-func (m *Monitor) pushOne(e Element, admit int64) (uint64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return 0, ErrClosed
-	}
-	var sp opSpan
-	m.beginOpLocked(&sp, admit, -1)
-	if m.wal != nil {
-		if err := m.logOneLocked(e); err != nil {
-			return 0, err
-		}
-	}
-	seq, err := m.ingestLocked(e)
-	if err != nil {
-		return 0, err
-	}
-	sp.applyDone()
-	m.refreshTopKLocked()
-	m.publishLocked()
-	m.endOpLocked(&sp, seq, 1, nil, nil)
-	m.maybeCheckpointLocked(1)
-	return seq, nil
+	one := [1]Element{e}
+	return m.PushBatch(one[:])
 }
 
 // PushBatch processes a batch of arriving elements as one write: the
 // elements are validated up front (an invalid element fails the whole batch
-// before anything is ingested), handed to the engine as a single batch
-// operation (count-based windows; time-based windows interleave expiry with
-// ingestion and run element-wise), and a single read view is published
-// afterwards, so concurrent readers observe either none or all of the batch.
-// The final state is byte-identical to pushing the elements one at a time in
-// the same order. The elements receive consecutive sequence numbers starting
-// at the returned value. Batching amortizes view publication and the
-// engine's per-call bookkeeping: for write-heavy streams it is substantially
-// cheaper than element-wise Push.
+// before anything is ingested), applied in order under one lock hold, and a
+// single read view is published afterwards, so concurrent readers observe
+// either none or all of the batch. The final state is byte-identical to
+// pushing the elements one at a time in the same order. The elements
+// receive consecutive sequence numbers starting at the returned value.
+// Batching amortizes the lock, the WAL group commit and view publication:
+// for write-heavy streams it is substantially cheaper than element-wise
+// Push.
 //
 // With an async queue the batch is enqueued whole (blocking when the queue
 // is full) and ingested by the background goroutine.
@@ -501,125 +454,152 @@ func (m *Monitor) PushBatch(es []Element) (uint64, error) {
 	if m.aq != nil {
 		return m.aq.enqueueBatch(es, admit)
 	}
-	first, err := m.pushMany(es, admit)
-	if err != nil {
-		return 0, err
+	first, err := m.pushSync(es, admit)
+	if err != nil || len(es) == 0 {
+		return first, err
 	}
-	if len(es) > 0 {
-		// As in Push: the semi-sync wait runs after the ingest lock drops.
-		if err := m.commitWait(first + uint64(len(es))); err != nil {
-			return first, err
-		}
-	}
-	return first, nil
+	// Semi-sync replication waits outside the ingest lock: the elements are
+	// applied and locally durable; the waiter only gates the return until
+	// the follower quorum acks (or the stream degrades to async).
+	return first, m.commitWait(first + uint64(len(es)))
 }
 
-// pushMany is PushBatch's locked body: log, ingest, publish the batch.
-func (m *Monitor) pushMany(es []Element, admit int64) (uint64, error) {
+// pushSync is a synchronous PushBatch's locked section: it stages the
+// elements as writeOps in the monitor's scratch and applies them.
+func (m *Monitor) pushSync(es []Element, admit int64) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	ops := slices.Grow(m.ops[:0], len(es))
+	for i := range es {
+		ops = append(ops, writeOp{el: es[i], admitNs: admit})
+	}
+	first, err := m.applyOpsLocked(ops, -1)
+	clear(ops) // drop payload references from the scratch
+	if cap(ops) <= maxIngestBatch {
+		// Keep a scratch sized for ordinary batches; a bulk load's larger
+		// one would stay pinned for the monitor's lifetime.
+		m.ops = ops[:0]
+	}
+	return first, err
+}
+
+// writeOp is one sequenced operation of the write path: an element push,
+// or — for shard members only — a watermark tick (tick == true) that tells
+// the shard how far the global stream has advanced: seq is then the newest
+// assigned sequence number and wmTS the highest assigned timestamp, so the
+// shard can expire its slice of the window even though the elements
+// driving the expiry were routed elsewhere. Ticks carry no data, are
+// idempotent and commute with each other; the expiry bound they establish
+// is monotone.
+type writeOp struct {
+	el   Element
+	seq  uint64
+	tick bool
+	wmTS int64
+	// admitNs is the element's front-end admission stamp (obs.NowNs at the
+	// moment Push/PushBatch accepted it, before sequencing, queueing or lock
+	// wait), carried to the apply for ingest-to-visibility latency
+	// recording. 0 when latency tracking is off, and always 0 on ticks.
+	admitNs int64
+}
+
+// applyOps is applyOpsLocked for callers that do not hold m.mu: the async
+// consumer and the sharded front end.
+func (m *Monitor) applyOps(ops []writeOp, queue int) (uint64, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.applyOpsLocked(ops, queue)
+}
+
+// applyOpsLocked is the Monitor's one write body: the paper's per-arrival
+// protocol run over a batch under one lock hold. It numbers the pushes (a
+// standalone monitor from the engine position — async reservations are
+// provisional under DropOldest, whose evictions consume reserved numbers;
+// a shard member keeps the front end's global numbers), logs them under
+// one group commit, applies every op in order (pushLocked for elements,
+// tickLocked for watermark ticks), and — if anything changed — refreshes
+// the continuous top-k, publishes one view, records latency and counts the
+// pushes toward the checkpoint cadence. queue is the async backlog at apply
+// entry (−1 for synchronous writes), kept in the flight record. It returns
+// the first push's sequence number (the engine position when ops holds
+// none). A durability failure is latched (later writes fail fast) and drops
+// the whole batch rather than applying unlogged elements; recoverable
+// failures were already absorbed by the WAL's Retry/Shed policy. The ops
+// were validated on entry, so an engine rejection is a bug and panics.
+// Callers hold m.mu.
+func (m *Monitor) applyOpsLocked(ops []writeOp, queue int) (uint64, error) {
 	if m.closed {
 		return 0, ErrClosed
 	}
-	var sp opSpan
-	if len(es) > 0 {
-		m.beginOpLocked(&sp, admit, -1)
+	if p := m.walErr.Load(); p != nil {
+		return 0, *p
 	}
-	if m.wal != nil && len(es) > 0 {
-		if err := m.logBatchLocked(es); err != nil {
+	first := m.eng.NextSeq()
+	if m.opts.shard == nil {
+		for i := range ops {
+			ops[i].seq = first + uint64(i)
+		}
+	}
+	var sp opSpan
+	m.beginOpLocked(&sp, ops, queue)
+	if m.wal != nil {
+		if err := m.logOpsLocked(ops); err != nil {
 			return 0, err
 		}
 	}
-	first, err := m.ingestBatchLocked(es)
-	if err != nil {
-		// Unreachable after up-front validation; publish what was ingested
-		// so readers stay consistent with the engine.
-		m.refreshTopKLocked()
-		m.publishLocked()
-		return 0, err
+	pushes, expired := 0, 0
+	for i := range ops {
+		if ops[i].tick {
+			expired += m.tickLocked(ops[i].seq, ops[i].wmTS)
+			continue
+		}
+		if err := m.pushLocked(ops[i].seq, ops[i].el); err != nil {
+			panic("pskyline: validated element rejected by engine: " + err.Error())
+		}
+		if pushes == 0 {
+			first = ops[i].seq
+		}
+		pushes++
 	}
-	if len(es) > 0 {
-		sp.applyDone()
-		m.refreshTopKLocked()
-		m.publishLocked()
-		m.endOpLocked(&sp, first, len(es), nil, nil)
-		m.maybeCheckpointLocked(len(es))
+	if pushes == 0 && expired == 0 {
+		return first, nil
 	}
+	sp.applyDone()
+	m.refreshTopKLocked()
+	m.publishLocked()
+	m.endOpLocked(&sp, first, pushes, ops)
+	m.maybeCheckpointLocked(pushes)
 	return first, nil
 }
 
-// ingestLocked runs one element through the engine. Callers hold m.mu and
-// publish a view afterwards.
-func (m *Monitor) ingestLocked(e Element) (uint64, error) {
+// pushLocked is the paper's per-arrival step at sequence number seq: expire
+// what the arrival pushes out of the window, then insert it. A standalone
+// count window expires inside the engine; a time window expires by
+// timestamp; a shard member — whose engine runs windowless over a sparse
+// slice of the global stream — expires by the count window implied by seq.
+// The live write path and WAL replay (dense and sparse logs) both run it,
+// so recovery re-executes exactly the live transitions. Callers hold m.mu.
+func (m *Monitor) pushLocked(seq uint64, e Element) error {
 	if m.period > 0 {
 		m.eng.ExpireOlderThan(e.TS - m.period)
+	} else if sh := m.opts.shard; sh != nil && seq >= uint64(sh.window) {
+		m.eng.ExpireSeqBelow(seq - uint64(sh.window) + 1)
 	}
 	// Record the payload before the engine runs so departure events
 	// (including the degenerate immediate ones) can clean it up.
-	seq := m.eng.NextSeq()
 	if e.Data != nil {
 		m.data[seq] = e.Data
 	}
-	it, err := m.eng.Push(geom.Point(e.Point), e.Prob, e.TS)
-	if err != nil {
+	if _, err := m.eng.PushAt(seq, geom.Point(e.Point), e.Prob, e.TS); err != nil {
 		delete(m.data, seq)
-		return 0, fmt.Errorf("pskyline: %w", err)
+		return fmt.Errorf("pskyline: %w", err)
 	}
 	m.probSum += e.Prob
 	m.probCount++
 	if e.TS > m.lastTS {
 		m.lastTS = e.TS
 	}
-	return it.Seq, nil
-}
-
-// ingestBatchLocked runs a validated batch through the engine. Count-based
-// windows use the engine's true batch insert (one engine-level operation,
-// byte-identical to the element-wise sequence); time-based windows must
-// interleave per-element expiry with ingestion, so they fall back to
-// element-wise ingestLocked. Callers hold m.mu and publish afterwards.
-func (m *Monitor) ingestBatchLocked(es []Element) (uint64, error) {
-	first := m.eng.NextSeq()
-	if m.period > 0 || len(es) == 0 {
-		for i := range es {
-			if _, err := m.ingestLocked(es[i]); err != nil {
-				return 0, fmt.Errorf("batch element %d: %w", i, err)
-			}
-		}
-		return first, nil
-	}
-	// Record payloads before the engine runs so departure events fired
-	// during the batch (including degenerate immediate ones) can clean
-	// them up.
-	for i := range es {
-		if es[i].Data != nil {
-			m.data[first+uint64(i)] = es[i].Data
-		}
-	}
-	batch := m.batch[:0]
-	for i := range es {
-		batch = append(batch, core.BatchElem{Point: geom.Point(es[i].Point), P: es[i].Prob, TS: es[i].TS})
-	}
-	_, err := m.eng.PushBatch(batch)
-	for i := range batch {
-		batch[i] = core.BatchElem{} // drop point references from the scratch
-	}
-	m.batch = batch[:0]
-	if err != nil {
-		// The engine validates before mutating: nothing was ingested.
-		for i := range es {
-			delete(m.data, first+uint64(i))
-		}
-		return 0, fmt.Errorf("pskyline: %w", err)
-	}
-	for i := range es {
-		m.probSum += es[i].Prob
-		if es[i].TS > m.lastTS {
-			m.lastTS = es[i].TS
-		}
-	}
-	m.probCount += uint64(len(es))
-	return first, nil
+	return nil
 }
 
 // refreshTopKLocked re-derives the continuous top-k ranking and fires

@@ -3,6 +3,7 @@ package pskyline_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -28,6 +29,8 @@ func TestOptionsValidation(t *testing.T) {
 		{Dims: 2, Window: 10}, // no thresholds
 		{Dims: 2, Window: 10, Thresholds: []float64{0}},
 		{Dims: 2, Window: 10, Thresholds: []float64{1.5}},
+		{Dims: 2, Window: 10, Thresholds: []float64{math.NaN()}},
+		{Dims: 2, Window: 10, Thresholds: []float64{0.3}, TopK: 3, TopKMinQ: math.NaN()},
 	}
 	for i, opt := range bad {
 		if _, err := pskyline.NewMonitor(opt); err == nil {
@@ -46,6 +49,9 @@ func TestPushValidation(t *testing.T) {
 	}
 	if _, err := m.Push(pskyline.Element{Point: []float64{1, 2}, Prob: 1.2}); err == nil {
 		t.Error("probability > 1 accepted")
+	}
+	if _, err := m.Push(pskyline.Element{Point: []float64{1, 2}, Prob: math.NaN()}); err == nil {
+		t.Error("NaN probability accepted")
 	}
 }
 
@@ -84,6 +90,13 @@ func TestMonitorBasics(t *testing.T) {
 	top, err := m.TopK(2, 0.3)
 	if err != nil || len(top) != 2 || top[0].Data != "best" {
 		t.Fatalf("topk = %v, %v", top, err)
+	}
+	// A NaN threshold is out of range, not a match for every candidate.
+	if got, err := m.Query(math.NaN()); err == nil {
+		t.Errorf("query(NaN) accepted: %v", got)
+	}
+	if got, err := m.TopK(2, math.NaN()); err == nil {
+		t.Errorf("topk(NaN) accepted: %v", got)
 	}
 
 	st := m.Stats()
@@ -264,6 +277,9 @@ func TestDynamicThresholdsAndCounters(t *testing.T) {
 	}
 	if err := m.AddThreshold(0.1); err == nil {
 		t.Fatal("threshold below minimum accepted")
+	}
+	if err := m.AddThreshold(math.NaN()); err == nil {
+		t.Fatal("NaN threshold accepted")
 	}
 	strict, err := m.Query(0.6)
 	if err != nil {

@@ -135,6 +135,16 @@ func TestStreamRegistry(t *testing.T) {
 	if got := reg.Names(); len(got) != 3 || got[0] != "dur" || got[1] != "plain" || got[2] != "sharded" {
 		t.Errorf("names = %v", got)
 	}
+	// A NaN threshold is out of range, for plain and sharded streams alike.
+	for _, spec := range []string{"nanq:dims=2,window=10,q=NaN", "nanqs:dims=2,window=10,q=NaN,shards=2"} {
+		bad, err := pskyline.ParseStreamSpecs(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Open(bad[0]); err == nil {
+			t.Errorf("%s: NaN threshold accepted", spec)
+		}
+	}
 
 	els := genShardElements(8, 120, 2)
 	for _, name := range reg.Names() {

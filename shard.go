@@ -8,29 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pskyline/internal/geom"
 	"pskyline/internal/obs"
 	"pskyline/internal/wal"
 )
-
-// shardOp is one sequenced operation applied to a shard member: either a
-// pre-numbered element push, or a watermark tick (tick == true) that tells
-// the shard how far the global stream has advanced — seq is then the newest
-// assigned sequence number and wmTS the highest assigned timestamp — so the
-// shard can expire its slice of the window even though the elements driving
-// the expiry were routed elsewhere. Ticks carry no data, are idempotent and
-// commute with each other; the expiry bound they establish is monotone.
-type shardOp struct {
-	el   Element
-	seq  uint64
-	tick bool
-	wmTS int64
-	// admitNs is the element's front-end admission stamp (obs.NowNs at the
-	// moment Push/PushBatch accepted it, before sequencing, queueing or lock
-	// wait), carried to the applying shard for ingest-to-visibility latency
-	// recording. 0 when latency tracking is off, and always 0 on ticks.
-	admitNs int64
-}
 
 // watermark publishes the sharded stream's frontier: count is the number of
 // globally assigned sequence numbers (== the next unassigned one) and ts the
@@ -53,32 +33,6 @@ type shardMember struct {
 	index  int        // this shard's position, labelling its flight spans
 }
 
-// pushAtLocked ingests one element at its globally assigned sequence number:
-// expiry catch-up to the window implied by seq (or the element's timestamp),
-// then the windowless engine push. It is the shard-member analogue of
-// ingestLocked and is shared by the live path (applyOps) and recovery replay.
-// Callers hold m.mu.
-func (m *Monitor) pushAtLocked(seq uint64, e Element) error {
-	if m.period > 0 {
-		m.eng.ExpireOlderThan(e.TS - m.period)
-	} else if w := uint64(m.opts.shard.window); seq >= w {
-		m.eng.ExpireSeqBelow(seq - w + 1)
-	}
-	if e.Data != nil {
-		m.data[seq] = e.Data
-	}
-	if _, err := m.eng.PushAt(seq, geom.Point(e.Point), e.Prob, e.TS); err != nil {
-		delete(m.data, seq)
-		return fmt.Errorf("pskyline: %w", err)
-	}
-	m.probSum += e.Prob
-	m.probCount++
-	if e.TS > m.lastTS {
-		m.lastTS = e.TS
-	}
-	return nil
-}
-
 // tickLocked applies a watermark tick: expire everything that left the
 // global window ending at sequence `last` (count windows) or at timestamp
 // wmTS (time windows). Returns the number of expiries. Callers hold m.mu.
@@ -92,115 +46,19 @@ func (m *Monitor) tickLocked(last uint64, wmTS int64) int {
 	return 0
 }
 
-// applyOps is the shard member's write entry point: log the pushes under one
-// group commit, apply every op in order, and publish one view if anything
-// changed. It is the sharded counterpart of ingestBatch, called by the
-// sharded front end (sync mode) and by the shard's own async consumer.
-func (m *Monitor) applyOps(ops []shardOp) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
+// wmOp derives a shard member's catch-up tick from the owning front end's
+// current frontier. Reports false for standalone monitors and before
+// anything was assigned.
+func (m *Monitor) wmOp() (writeOp, bool) {
+	if m.opts.shard == nil {
+		return writeOp{}, false
 	}
-	if p := m.walErr.Load(); p != nil {
-		return *p
-	}
-	var sp opSpan
-	if m.latOn {
-		// The span's admission stamp is the batch's oldest push (ticks carry
-		// none); the queue depth is the shard's async backlog at apply entry.
-		admit := int64(0)
-		for i := range ops {
-			if !ops[i].tick && ops[i].admitNs != 0 {
-				admit = ops[i].admitNs
-				break
-			}
-		}
-		queue := -1
-		if m.aq != nil {
-			queue = len(m.aq.ch)
-		}
-		m.beginOpLocked(&sp, admit, queue)
-	}
-	if m.wal != nil {
-		if err := m.logOpsLocked(ops); err != nil {
-			return err
-		}
-	}
-	pushes, expired := 0, 0
-	firstSeq := uint64(0)
-	for i := range ops {
-		if ops[i].tick {
-			expired += m.tickLocked(ops[i].seq, ops[i].wmTS)
-			continue
-		}
-		if err := m.pushAtLocked(ops[i].seq, ops[i].el); err != nil {
-			panic("pskyline: validated element rejected by engine: " + err.Error())
-		}
-		if pushes == 0 {
-			firstSeq = ops[i].seq
-		}
-		pushes++
-	}
-	if pushes == 0 && expired == 0 {
-		return nil
-	}
-	sp.applyDone()
-	m.refreshTopKLocked()
-	m.publishLocked()
-	m.endOpLocked(&sp, firstSeq, pushes, nil, ops)
-	m.maybeCheckpointLocked(pushes)
-	return nil
-}
-
-// logOpsLocked appends a batch of sequenced pushes under one group commit.
-// Ticks are not logged — they are derivable (recovery re-establishes the
-// watermark from every shard's recovered position). Callers hold m.mu.
-func (m *Monitor) logOpsLocked(ops []shardOp) error {
-	logged := false
-	for i := range ops {
-		if ops[i].tick {
-			continue
-		}
-		if err := m.wal.AppendElement(ops[i].seq, ops[i].el.Point, ops[i].el.Prob, ops[i].el.TS); err != nil {
-			return m.walFail(err)
-		}
-		logged = true
-	}
-	if !logged {
-		return nil
-	}
-	if err := m.wal.Commit(); err != nil {
-		return m.walFail(err)
-	}
-	return nil
-}
-
-// replayShardLocked re-ingests one recovered log record through the exact
-// live shard path (watermark expiry included), so the recovered shard state
-// is byte-identical to the pre-crash state for every committed record.
-func (m *Monitor) replayShardLocked(r wal.Record) error {
-	return m.pushAtLocked(r.Seq, Element{Point: r.Point, Prob: r.Prob, TS: r.TS})
-}
-
-// wmOp derives this shard's catch-up tick from the owning front end's
-// current frontier. Reports false before anything was assigned.
-func (m *Monitor) wmOp() (shardOp, bool) {
 	wm := m.opts.shard.wm
 	n := wm.count.Load()
 	if n == 0 {
-		return shardOp{}, false
+		return writeOp{}, false
 	}
-	return shardOp{tick: true, seq: n - 1, wmTS: wm.ts.Load()}, true
-}
-
-// applyWatermark expires this shard up to the current global frontier and
-// publishes if anything left the window. Used by the async consumer on
-// Drain so an idle shard still converges with its siblings.
-func (m *Monitor) applyWatermark() {
-	if op, ok := m.wmOp(); ok {
-		_ = m.applyOps([]shardOp{op})
-	}
+	return writeOp{tick: true, seq: n - 1, wmTS: wm.ts.Load()}, true
 }
 
 // ShardedOptions configures NewSharded: the embedded Options apply to every
@@ -257,8 +115,7 @@ type ShardedMonitor struct {
 	mu      sync.Mutex // serializes sequence assignment and sync fan-out
 	nextSeq uint64
 	closed  bool
-	opBuf   []shardOp   // single-op scratch, guarded by mu
-	groups  [][]shardOp // per-shard batch scratch, guarded by mu
+	groups  [][]writeOp // per-shard batch scratch, guarded by mu
 
 	merged  atomic.Pointer[mergedView]
 	maxCand atomic.Int64 // peak merged candidate count observed at merges
@@ -298,7 +155,7 @@ func NewSharded(opt ShardedOptions) (*ShardedMonitor, error) {
 		async:  opt.AsyncQueue > 0,
 		wm:     &watermark{},
 		reg:    reg,
-		groups: make([][]shardOp, opt.Shards),
+		groups: make([][]writeOp, opt.Shards),
 	}
 	for i := 0; i < opt.Shards; i++ {
 		so := opt.Options
@@ -357,9 +214,9 @@ func NewSharded(opt ShardedOptions) (*ShardedMonitor, error) {
 		// Expiry parity after recovery: a shard's log only drives its own
 		// expiry, so shards that lagged the global frontier at crash time
 		// catch up here before the first query.
-		tick := shardOp{tick: true, seq: next - 1, wmTS: wmTS}
+		tick := []writeOp{{tick: true, seq: next - 1, wmTS: wmTS}}
 		for _, sh := range s.shards {
-			if err := sh.applyOps([]shardOp{tick}); err != nil {
+			if _, err := sh.applyOps(tick, -1); err != nil {
 				s.abort()
 				return nil, err
 			}
@@ -375,53 +232,18 @@ func (s *ShardedMonitor) abort() {
 	}
 }
 
-// Push assigns the next global sequence number to e, routes it to its home
-// shard, and — in synchronous mode — ticks every other shard to the new
-// watermark so the merged view stays exact after every push. With an async
-// queue the op is enqueued on the home shard only (its consumer derives
-// watermark ticks itself); call Drain for queries to observe it.
+// Push assigns the next global sequence number to e and routes it to its
+// home shard. It is PushBatch of one element: in synchronous mode every
+// other shard is ticked to the new watermark so the merged view stays exact
+// after every push; with an async queue the op is enqueued on the home
+// shard only (its consumer derives watermark ticks itself) and Drain makes
+// it visible to queries.
 //
 // Synchronous sharded pushes pay one lock/publish per shard per element;
 // prefer PushBatch or AsyncQueue for throughput.
 func (s *ShardedMonitor) Push(e Element) (uint64, error) {
-	if err := s.shards[0].validate(e); err != nil {
-		return 0, err
-	}
-	// Stamp admission before the front-end lock: sequencing waits, shard
-	// queues and shard locks all count toward the element's latency.
-	admit := s.shards[0].admitNow()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	home := s.router.Route(e.Point, e.Prob, len(s.shards))
-	if p := s.shards[home].walErr.Load(); p != nil {
-		return 0, *p
-	}
-	seq := s.nextSeq
-	s.nextSeq++
-	s.wm.count.Store(s.nextSeq)
-	if e.TS > s.wm.ts.Load() {
-		s.wm.ts.Store(e.TS)
-	}
-	if s.async {
-		return seq, s.shards[home].aq.enqueueOp(shardOp{el: e, seq: seq, admitNs: admit})
-	}
-	wmTS := s.wm.ts.Load()
-	var firstErr error
-	for i, sh := range s.shards {
-		op := shardOp{tick: true, seq: seq, wmTS: wmTS}
-		if i == home {
-			op = shardOp{el: e, seq: seq, admitNs: admit}
-		}
-		s.opBuf = append(s.opBuf[:0], op)
-		if err := sh.applyOps(s.opBuf); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	s.opBuf[0] = shardOp{}
-	return seq, firstErr
+	one := [1]Element{e}
+	return s.PushBatch(one[:])
 }
 
 // PushBatch assigns consecutive global sequence numbers to the batch, groups
@@ -461,12 +283,9 @@ func (s *ShardedMonitor) PushBatch(es []Element) (uint64, error) {
 	s.nextSeq = last + 1
 	s.wm.count.Store(s.nextSeq)
 	s.wm.ts.Store(maxTS)
-	for i := range s.groups {
-		s.groups[i] = s.groups[i][:0]
-	}
 	for i := range es {
 		h := s.router.Route(es[i].Point, es[i].Prob, len(s.shards))
-		s.groups[h] = append(s.groups[h], shardOp{el: es[i], seq: first + uint64(i), admitNs: admit})
+		s.groups[h] = append(s.groups[h], writeOp{el: es[i], seq: first + uint64(i), admitNs: admit})
 	}
 	var firstErr error
 	if s.async {
@@ -479,18 +298,15 @@ func (s *ShardedMonitor) PushBatch(es []Element) (uint64, error) {
 			}
 		}
 	} else {
-		tick := shardOp{tick: true, seq: last, wmTS: maxTS}
+		tick := writeOp{tick: true, seq: last, wmTS: maxTS}
 		for i, sh := range s.shards {
-			ops := append(s.groups[i], tick)
-			if err := sh.applyOps(ops); err != nil && firstErr == nil {
+			if _, err := sh.applyOps(append(s.groups[i], tick), -1); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
 	for i := range s.groups {
-		for j := range s.groups[i] {
-			s.groups[i][j] = shardOp{} // drop payload references from the scratch
-		}
+		clear(s.groups[i]) // drop payload references from the scratch
 		s.groups[i] = s.groups[i][:0]
 	}
 	return first, firstErr

@@ -83,7 +83,7 @@ func (v *View) Skyline() []SkyPoint {
 // subset of Query(q1).
 func (v *View) Query(qPrime float64) ([]SkyPoint, error) {
 	qk := v.thresholds[len(v.thresholds)-1]
-	if qPrime < qk {
+	if !(qPrime >= qk) { // also rejects NaN
 		return nil, fmt.Errorf("pskyline: ad-hoc threshold %v below maintained minimum %v", qPrime, qk)
 	}
 	if qPrime > 1 {
@@ -114,7 +114,7 @@ func (v *View) TopK(k int, minQ float64) ([]SkyPoint, error) {
 		return nil, nil
 	}
 	qk := v.thresholds[len(v.thresholds)-1]
-	if minQ < qk {
+	if !(minQ >= qk) { // also rejects NaN
 		return nil, fmt.Errorf("pskyline: top-k threshold %v below maintained minimum %v", minQ, qk)
 	}
 	out := make([]SkyPoint, 0, k)
