@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race bench-concurrent bench bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke bench-repl bench-latency perfbench-test fuzz-smoke ci
+.PHONY: build vet lint test race bench-concurrent bench bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke bench-latency perfbench-test fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -36,8 +36,8 @@ bench-concurrent:
 	$(GO) test -run '^$$' -bench BenchmarkConcurrentReaders -benchtime 1000x -short .
 
 # Full ingestion benchmark trajectory: appends a machine-readable run
-# (ns/op, B/op, allocs/op, elems/sec for Push, PushBatch, expiry, mixed)
-# to BENCH_ingest.json. Label it after the change being measured, e.g.
+# (ns/op, B/op, allocs/op, elems/sec for engine Push, sharded PushBatch,
+# expiry, mixed and recovery) to BENCH_ingest.json. Label it after the change being measured, e.g.
 #   make bench BENCH_LABEL=my-change
 BENCH_LABEL ?= local
 bench:
@@ -80,9 +80,9 @@ bench-recovery:
 	bash scripts/recovery_smoke.sh
 
 # End-to-end load-harness smoke test: a short fixed-rate open-loop pskyload
-# sweep against a serve-mode host over HTTP plus an in-process sweep (with
-# the instrumentation-off control), asserting complete accounting and that
-# the windowed visibility-latency series and flight recorder respond.
+# sweep against a serve-mode host over HTTP plus an in-process sweep,
+# asserting complete accounting and that the windowed visibility-latency
+# series and flight recorder respond.
 load-smoke:
 	bash scripts/load_smoke.sh
 
@@ -129,19 +129,12 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg; \
 	done
 
-# Replication push A/B (semisync k=1 vs async, loopback follower) appended
-# to BENCH_ingest.json. Label it after the change being measured.
-bench-repl:
-	$(GO) run ./cmd/pskybench -ingest -ingest-repl-only -out BENCH_ingest.json -label "$(BENCH_LABEL)"
-
 # Full latency-vs-rate trajectory: open-loop sweeps of the sync, async and
-# sharded write paths (plus the instrumentation-off control) appended to
-# BENCH_latency.json. Label it after the change being measured, e.g.
+# sharded write paths appended to BENCH_latency.json. Label it after the change being measured, e.g.
 #   make bench-latency BENCH_LABEL=my-change
 bench-latency:
 	$(GO) run ./cmd/pskyload -mode sync -rates 5000,10000,20000 -out BENCH_latency.json -label "$(BENCH_LABEL)-sync"
 	$(GO) run ./cmd/pskyload -mode async -rates 5000,10000,20000 -out BENCH_latency.json -label "$(BENCH_LABEL)-async"
 	$(GO) run ./cmd/pskyload -mode sharded -batch 16 -rates 5000,10000,20000 -out BENCH_latency.json -label "$(BENCH_LABEL)-sharded"
-	$(GO) run ./cmd/pskyload -mode sync -no-latency -rates 10000 -out BENCH_latency.json -label "$(BENCH_LABEL)-control"
 
 ci: build lint test race perfbench-test fuzz-smoke bench-concurrent bench-smoke serve-smoke crash-smoke chaos-smoke shard-smoke bench-recovery load-smoke repl-smoke semisync-smoke

@@ -160,8 +160,8 @@ func (q *asyncQueue) dropped(i, n int) error {
 // reports the dropped suffix, which consumes no number; under DropOldest
 // the whole batch is queued, evicting as needed. Returns the first accepted
 // element's number. The elements are already validated; admitNs is the
-// batch's front-end admission stamp (0 with latency tracking off), carried
-// through the queue so measured latency includes queue residency.
+// batch's front-end admission stamp, carried through the queue so measured
+// latency includes queue residency.
 func (q *asyncQueue) enqueueBatch(es []Element, admitNs int64) (uint64, error) {
 	q.enqMu.Lock()
 	defer q.enqMu.Unlock()

@@ -275,6 +275,9 @@ func TestPushBatchValidation(t *testing.T) {
 		{Point: []float64{1, 2}, Prob: 0},    // probability out of range
 		{Point: []float64{1, 2}, Prob: 1.01}, // probability out of range
 		{Point: []float64{1, 2}, Prob: math.NaN()},
+		{Point: []float64{math.NaN(), 2}, Prob: 0.5}, // non-finite coordinates
+		{Point: []float64{1, math.Inf(1)}, Prob: 0.5},
+		{Point: []float64{math.Inf(-1), 2}, Prob: 0.5},
 	} {
 		if _, err := m.PushBatch([]pskyline.Element{good, bad}); err == nil {
 			t.Fatalf("batch with %+v accepted", bad)

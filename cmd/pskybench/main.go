@@ -32,7 +32,6 @@ func main() {
 		ingestWindow = flag.Int("ingest-window", 0, "sliding window of the -ingest workloads (0 = default 10000)")
 		ingestShort  = flag.Bool("ingest-short", false, "shrink the -ingest workloads for smoke runs")
 		recoverOnly  = flag.Bool("ingest-recover-only", false, "run only the recovery-reopen workloads (the bench-recovery smoke)")
-		replOnly     = flag.Bool("ingest-repl-only", false, "run only the replication push workloads (semi-sync vs async A/B)")
 	)
 	flag.Parse()
 
@@ -43,7 +42,6 @@ func main() {
 			Short:       *ingestShort,
 			Label:       *ingestLabel,
 			RecoverOnly: *recoverOnly,
-			ReplOnly:    *replOnly,
 		}, os.Stdout)
 		if err := bench.WriteIngest(*ingestOut, run); err != nil {
 			fmt.Fprintln(os.Stderr, "pskybench:", err)

@@ -192,14 +192,12 @@ func TestBuildInfoString(t *testing.T) {
 	}
 }
 
-// TestRunSummaryLatencyBlock pins the -summary latency output: with tracking
-// on (the default) the block reports recent-window quantiles with the
-// log2-bucket error-bound note; with -no-latency it is absent entirely.
+// TestRunSummaryLatencyBlock pins the -summary latency output: the block
+// reports recent-window quantiles with the log2-bucket error-bound note.
 func TestRunSummaryLatencyBlock(t *testing.T) {
 	lines := genCSV(9, 600)
-	base := config{dims: 2, window: 200, thresholds: []float64{0.3}, batch: 1, summary: true}
-
-	out := runSession(t, base, lines)
+	cfg := config{dims: 2, window: 200, thresholds: []float64{0.3}, batch: 1, summary: true}
+	out := runSession(t, cfg, lines)
 	for _, want := range []string{
 		"latency (recent",
 		"log2-bucket quantiles, within a factor of sqrt(2) of exact — ±1 bucket, at most 2x",
@@ -208,15 +206,6 @@ func TestRunSummaryLatencyBlock(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-summary output missing %q:\n%s", want, out)
-		}
-	}
-
-	off := base
-	off.noLatency = true
-	out = runSession(t, off, lines)
-	for _, bad := range []string{"latency (recent", "flight:"} {
-		if strings.Contains(out, bad) {
-			t.Errorf("-no-latency -summary output still contains %q:\n%s", bad, out)
 		}
 	}
 }

@@ -21,11 +21,10 @@
 // additionally prints the work counters, per-stage latency quantiles, and the
 // ingest-to-visibility latency block at exit.
 //
-// Ingest-to-visibility latency tracking and the flight recorder are on by
-// default (allocation-free; see DESIGN.md §15); -no-latency turns them off as
-// the instrumentation-off control, -slow-threshold tunes the slow-span latch,
-// and -latency-epoch the recent-quantile window rotation. -version prints the
-// build stamp (VCS revision, Go toolchain) and exits.
+// Ingest-to-visibility latency tracking and the flight recorder are always on
+// (allocation-free; see DESIGN.md §15); -slow-threshold tunes the slow-span
+// latch, and -latency-epoch the recent-quantile window rotation. -version
+// prints the build stamp (VCS revision, Go toolchain) and exits.
 //
 // -wal DIR makes the session crash-recoverable: every element is written to a
 // segmented write-ahead log in DIR before it is applied, checkpoints are
@@ -97,8 +96,7 @@ type config struct {
 	shards      int
 	router      string
 	streams     string
-	// latency instrumentation (-no-latency family)
-	noLatency     bool
+	// latency instrumentation
 	slowThreshold time.Duration
 	latencyEpoch  time.Duration
 	// durability (-wal family)
@@ -146,7 +144,6 @@ func main() {
 		walEvery = flag.Int("wal-checkpoint-every", 0, "install a checkpoint every N ingested elements (0 = default, negative = only at exit)")
 		walFault = flag.String("wal-fault", "", "chaos testing: seeded fault schedule for the durability filesystem (e.g. \"sync:after=40:times=3;write:partial=7\")")
 		walFSeed = flag.Int64("wal-fault-seed", 0, "seed for probabilistic -wal-fault rules (0 = 1)")
-		noLat    = flag.Bool("no-latency", false, "disable ingest-to-visibility latency tracking and the flight recorder (instrumentation-off control)")
 		slowThr  = flag.Duration("slow-threshold", 0, "latch writes at or above this admission-to-visibility latency into the flight recorder's slow ring (0 = default 5ms)")
 		latEpoch = flag.Duration("latency-epoch", 0, "rotation interval of the windowed latency histograms; recent quantiles cover 6 epochs (0 = default 10s)")
 		replLis  = flag.String("replicate-listen", "", "primary mode: stream the WAL to read-only replicas on this address (requires -wal, single engine)")
@@ -178,7 +175,7 @@ func main() {
 		snapshot: *snapshot, summary: *summary, file: *file, ckpt: *ckpt,
 		batch: *batch, async: *async, asyncPolicy: *asyncPol, httpAddr: *httpAddr,
 		shards: *shards, router: *router, streams: *streams,
-		noLatency: *noLat, slowThreshold: *slowThr, latencyEpoch: *latEpoch,
+		slowThreshold: *slowThr, latencyEpoch: *latEpoch,
 		walDir: *walDir, walFsync: *walFsync, walPolicy: *walPol,
 		walSegmentMB: *walSegMB, walCkptEvery: *walEvery,
 		walFault: *walFault, walFaultSeed: *walFSeed,
@@ -244,7 +241,6 @@ func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 	}
 	opt := pskyline.Options{Dims: cfg.dims, Thresholds: cfg.thresholds, AsyncQueue: cfg.async}
 	opt.Latency = pskyline.LatencyOptions{
-		Disable:       cfg.noLatency,
 		Epoch:         cfg.latencyEpoch,
 		SlowThreshold: cfg.slowThreshold,
 	}
@@ -603,7 +599,6 @@ func parseRouter(name string) (pskyline.Router, error) {
 // merged view's aggregate work counters plus one line per shard, then the
 // shards' merged latency picture.
 func printShardSummary(out io.Writer, sm *pskyline.ShardedMonitor) {
-	var anyLat bool
 	for i := 0; i < sm.NumShards(); i++ {
 		met := sm.Shard(i).Metrics()
 		c := met.Counters
@@ -614,30 +609,23 @@ func printShardSummary(out io.Writer, sm *pskyline.ShardedMonitor) {
 			fmt.Fprintf(out, "shard %d wal: state=%s appends=%d commits=%d checkpoints=%d\n",
 				i, w.State, w.Appends, w.Commits, w.Checkpoints)
 		}
-		if lm := met.Latency; lm != nil {
-			anyLat = true
-			fmt.Fprintf(out, "shard %d visible: n=%d p50=%v p99=%v max=%v\n",
-				i, lm.Visible.TotalCount,
-				time.Duration(lm.Visible.P50Ns).Round(time.Nanosecond),
-				time.Duration(lm.Visible.P99Ns).Round(time.Nanosecond),
-				time.Duration(lm.Visible.MaxNs))
-		}
+		lm := met.Latency
+		fmt.Fprintf(out, "shard %d visible: n=%d p50=%v p99=%v max=%v\n",
+			i, lm.Visible.TotalCount,
+			time.Duration(lm.Visible.P50Ns).Round(time.Nanosecond),
+			time.Duration(lm.Visible.P99Ns).Round(time.Nanosecond),
+			time.Duration(lm.Visible.MaxNs))
 	}
-	if anyLat {
-		fi := sm.Flight()
-		fmt.Fprintf(out, "flight (merged): recorded=%d slow=%d threshold=%v\n",
-			fi.Recorded, fi.SlowLatched, fi.SlowThreshold)
-	}
+	fi := sm.Flight()
+	fmt.Fprintf(out, "flight (merged): recorded=%d slow=%d threshold=%v\n",
+		fi.Recorded, fi.SlowLatched, fi.SlowThreshold)
 }
 
 // printLatencySummary renders the ingest-to-visibility latency block of
 // -summary: recent-window quantiles for the applied and visible intervals,
 // the flight recorder counters, and the worst latched slow spans with their
-// stage breakdowns. No-op when tracking is disabled (lm == nil).
+// stage breakdowns.
 func printLatencySummary(out io.Writer, lm *pskyline.LatencyMetrics, fi pskyline.FlightInfo) {
-	if lm == nil {
-		return
-	}
 	fmt.Fprintf(out, "latency (recent %v window; log2-bucket quantiles, within a factor of sqrt(2) of exact — ±1 bucket, at most 2x)\n",
 		lm.Window)
 	row := func(name string, s pskyline.LatencySummary) {

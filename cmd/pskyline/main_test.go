@@ -166,6 +166,31 @@ func TestRunSnapshotModeAsync(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonFiniteCoordinate: strconv.ParseFloat accepts "inf" and
+// "NaN", so the CSV path hands such points to the monitor, which must reject
+// them before the WAL logs them; the -wal directory then resumes to the same
+// state as a run that never saw the bad line.
+func TestRunRejectsNonFiniteCoordinate(t *testing.T) {
+	lines := genCSV(5, 200)
+	cfg := config{dims: 2, window: 64, thresholds: []float64{0.3}, batch: 1, summary: true, walFsync: "never"}
+	clean := cfg
+	clean.walDir = t.TempDir()
+	wantCand, wantSky := finalSizes(t, runSession(t, clean, lines))
+	for _, bad := range []string{"inf,0.5,0.9", "0.5,-Inf,0.9", "NaN,0.5,0.9"} {
+		cfg.walDir = t.TempDir()
+		in := append(append(lines[:100:100], bad), lines[100:]...)
+		err := run(cfg, strings.NewReader(strings.Join(in, "\n")+"\n"), new(bytes.Buffer), new(bytes.Buffer))
+		if err == nil || !strings.Contains(err.Error(), "line 101:") {
+			t.Errorf("%q: run returned %v, want a rejection at line 101", bad, err)
+			continue
+		}
+		cand, sky := finalSizes(t, runSession(t, cfg, lines[100:]))
+		if cand != wantCand || sky != wantSky {
+			t.Errorf("%q: resumed at candidates=%d skyline=%d, want %d/%d", bad, cand, sky, wantCand, wantSky)
+		}
+	}
+}
+
 // TestRunRejectsBadBatch covers run()'s own validation.
 func TestRunRejectsBadBatch(t *testing.T) {
 	err := run(config{dims: 2, window: 10, thresholds: []float64{0.3}, batch: 0},

@@ -177,7 +177,6 @@ func runReplica(cfg config, errw io.Writer) error {
 	}
 	opt := pskyline.Options{Dims: cfg.dims, Thresholds: cfg.thresholds}
 	opt.Latency = pskyline.LatencyOptions{
-		Disable:       cfg.noLatency,
 		Epoch:         cfg.latencyEpoch,
 		SlowThreshold: cfg.slowThreshold,
 	}

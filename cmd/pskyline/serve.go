@@ -131,22 +131,7 @@ func newServeMux(h *monitorHandle, rs *replState) *http.ServeMux {
 			httpError(w, http.StatusForbidden, "read-only replica: writes go to the primary (or POST /promote)")
 			return
 		}
-		accepted, err := pushNDJSON(m, r.Body)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, pskyline.ErrOverloaded) {
-				code = http.StatusTooManyRequests
-			} else if errors.Is(err, pskyline.ErrClosed) {
-				code = http.StatusConflict
-			}
-			httpError(w, code, fmt.Sprintf("after %d accepted: %v", accepted, err))
-			return
-		}
-		if r.URL.Query().Get("drain") == "1" {
-			m.Drain()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"accepted": accepted})
+		servePush(w, r, m)
 	})
 	mux.HandleFunc("POST /promote", func(w http.ResponseWriter, r *http.Request) {
 		body, code := rs.promote(h)
@@ -339,22 +324,7 @@ func newRegistryMux(reg *pskyline.StreamRegistry) *http.ServeMux {
 		if !ok {
 			return
 		}
-		accepted, err := pushNDJSON(op, r.Body)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, pskyline.ErrOverloaded) {
-				code = http.StatusTooManyRequests
-			} else if errors.Is(err, pskyline.ErrClosed) {
-				code = http.StatusConflict
-			}
-			httpError(w, code, fmt.Sprintf("after %d accepted: %v", accepted, err))
-			return
-		}
-		if r.URL.Query().Get("drain") == "1" {
-			op.Drain()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"accepted": accepted})
+		servePush(w, r, op)
 	})
 	mux.HandleFunc("GET /streams/{name}/skyline", func(w http.ResponseWriter, r *http.Request) {
 		op, ok := lookupStream(reg, w, r)
@@ -465,6 +435,30 @@ type pushElementJSON struct {
 	Point []float64 `json:"point"`
 	Prob  float64   `json:"prob"`
 	TS    int64     `json:"ts"`
+}
+
+// servePush answers a push request once its mux has found the operator: it
+// ingests the NDJSON body, maps a failure to its status (429 overloaded, 409
+// closed, 400 otherwise; the error names how many elements were accepted
+// before it), waits for visibility on ?drain=1, and replies
+// {"accepted":n}.
+func servePush(w http.ResponseWriter, r *http.Request, op pskyline.Operator) {
+	accepted, err := pushNDJSON(op, r.Body)
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, pskyline.ErrOverloaded) {
+			code = http.StatusTooManyRequests
+		} else if errors.Is(err, pskyline.ErrClosed) {
+			code = http.StatusConflict
+		}
+		httpError(w, code, fmt.Sprintf("after %d accepted: %v", accepted, err))
+		return
+	}
+	if r.URL.Query().Get("drain") == "1" {
+		op.Drain()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(map[string]any{"accepted": accepted})
 }
 
 // pushNDJSON streams newline-delimited JSON elements into op in bounded

@@ -22,7 +22,7 @@ import (
 type sink interface {
 	push(es []pskyline.Element) error
 	// visible reports the monitor's internal ingest-to-visibility latency
-	// view, nil when unavailable (HTTP targets, -no-latency).
+	// view, nil when unavailable (HTTP targets).
 	visible() *pskyline.LatencyMetrics
 	close() error
 }
@@ -33,10 +33,7 @@ type inprocSink struct {
 }
 
 func newInprocSink(cfg config) (*inprocSink, error) {
-	opt := pskyline.Options{
-		Dims: cfg.dims, Window: cfg.window, Thresholds: cfg.qs,
-		Latency: pskyline.LatencyOptions{Disable: cfg.noLat},
-	}
+	opt := pskyline.Options{Dims: cfg.dims, Window: cfg.window, Thresholds: cfg.qs}
 	switch cfg.mode {
 	case "sync":
 	case "async":
@@ -80,9 +77,6 @@ func (s *inprocSink) visible() *pskyline.LatencyMetrics {
 		var worst *pskyline.LatencyMetrics
 		for i := 0; i < m.NumShards(); i++ {
 			lm := m.Shard(i).Metrics().Latency
-			if lm == nil {
-				return nil
-			}
 			if worst == nil || lm.Visible.P99Ns > worst.Visible.P99Ns {
 				worst = lm
 			}
@@ -152,8 +146,11 @@ type arrival struct {
 // arrival → completion) plus the monitor's internal visibility view when
 // available. All durations are milliseconds.
 type rateResult struct {
-	Label    string `json:"label"`
-	Mode     string `json:"mode"`
+	Label string `json:"label"`
+	Mode  string `json:"mode"`
+	// Tracking is always true in new rows: the monitor's instrumentation
+	// has no off switch. Older trajectories hold false for their
+	// instrumentation-off control rows.
 	Tracking bool   `json:"latency_tracking"`
 	Dist     string `json:"dist"`
 	Dims     int    `json:"dims"`
@@ -271,7 +268,7 @@ func runRate(s sink, cfg config, rate float64) rateResult {
 	wg.Wait()
 
 	res := rateResult{
-		Label: cfg.label, Mode: cfg.mode, Tracking: !cfg.noLat,
+		Label: cfg.label, Mode: cfg.mode, Tracking: true,
 		Dist: cfg.dims2dist(cfg.dist), Dims: cfg.dims, Window: cfg.window,
 		Batch: cfg.batch, Workers: cfg.workers,
 		Offered:   rate,
@@ -356,8 +353,8 @@ func newStream(cfg config) streamgen.Stream {
 // sweep runs every offered rate against a fresh sink, prints the table, and
 // appends the rows to the trajectory file.
 func sweep(cfg config, out io.Writer) error {
-	fmt.Fprintf(out, "pskyload: %s mode, dist=%s dims=%d window=%d batch=%d workers=%d tracking=%v\n",
-		modeName(cfg), cfg.dist, cfg.dims, cfg.window, cfg.batch, cfg.workers, !cfg.noLat)
+	fmt.Fprintf(out, "pskyload: %s mode, dist=%s dims=%d window=%d batch=%d workers=%d\n",
+		modeName(cfg), cfg.dist, cfg.dims, cfg.window, cfg.batch, cfg.workers)
 	fmt.Fprintf(out, "%-10s %-10s %-9s %-9s %-9s %-9s %-9s %-8s %-11s %s\n",
 		"rate", "achieved", "p50ms", "p90ms", "p99ms", "p999ms", "maxms", "dropped", "vis_p50ms", "vis_p99ms")
 	var rows []rateResult

@@ -147,31 +147,6 @@ func TestRateUnitsBatched(t *testing.T) {
 	}
 }
 
-func TestSweepNoLatencyControl(t *testing.T) {
-	cfg := testConfig()
-	cfg.noLat = true
-	cfg.rates = []float64{500}
-	cfg.out = filepath.Join(t.TempDir(), "bench.json")
-	if err := sweep(cfg, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := readFile(cfg.out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		t.Fatal(err)
-	}
-	r := bf.Runs[0].Rows[0]
-	if r.Tracking {
-		t.Error("control row reports tracking on")
-	}
-	if r.VisibleP50Ms != 0 || r.VisibleP99Ms != 0 {
-		t.Errorf("control row has internal visibility quantiles: %+v", r)
-	}
-}
-
 func TestAppendRowsAndRender(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	rows := []rateResult{{

@@ -16,9 +16,9 @@
 // In-process mode builds the monitor in the harness process and additionally
 // scrapes the monitor's own ingest-to-visibility instrumentation (DESIGN.md
 // §15), so the external view (scheduled arrival → push returned) and the
-// internal view (admission → view publish) appear side by side.
-// -no-latency disables that instrumentation — the A/B control measuring its
-// overhead.
+// internal view (admission → view publish) appear side by side. That
+// instrumentation is always on; rows keep a latency_tracking field so older
+// trajectories' instrumentation-off control rows still render as such.
 //
 // Results append to a JSON trajectory file (-out, default off) so successive
 // runs and variants accumulate; -render FILE prints such a file as a
@@ -55,7 +55,6 @@ type config struct {
 	mode    string
 	async   int
 	shards  int
-	noLat   bool
 	target  string
 	stream  string
 	out     string
@@ -77,7 +76,6 @@ func main() {
 		mode    = flag.String("mode", "sync", "in-process monitor variant: sync, async or sharded (ignored with -target)")
 		async   = flag.Int("async", 4096, "async queue capacity for -mode async")
 		shards  = flag.Int("shards", 4, "shard count for -mode sharded")
-		noLat   = flag.Bool("no-latency", false, "disable the monitor's own latency instrumentation (A/B overhead control; in-process only)")
 		target  = flag.String("target", "", "load a running pskyline host at this base URL instead of an in-process monitor")
 		stream  = flag.String("stream", "bench", "stream name to push to on -target hosts")
 		out     = flag.String("out", "", "append results to this JSON trajectory file")
@@ -100,7 +98,7 @@ func main() {
 	cfg := config{
 		dims: *dims, window: *window, dist: *dist, seed: *seed,
 		dur: *dur, warmup: *warmup, batch: *batch, workers: *workers,
-		mode: *mode, async: *async, shards: *shards, noLat: *noLat,
+		mode: *mode, async: *async, shards: *shards,
 		target: *target, stream: *stream, out: *out, label: *label,
 	}
 	for _, s := range strings.Split(*qList, ",") {

@@ -232,13 +232,17 @@ func Open(opt Options) (*Monitor, error) {
 		lastErr error
 	)
 	for _, ref := range refs {
+		m2, err := newMonitorBase(opt)
+		if err != nil {
+			return nil, err
+		}
 		f, err := fsys.Open(ref.Path)
 		if err != nil {
 			lastErr = err
 			rec.CheckpointsSkipped++
 			continue
 		}
-		m2, err := restoreCore(f, opt)
+		err = m2.restoreCore(f)
 		f.Close()
 		if err != nil {
 			lastErr = err

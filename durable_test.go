@@ -543,17 +543,36 @@ func TestOpenConfigMismatch(t *testing.T) {
 // that already holds a NaN record makes Open fail with an error rather than
 // panic in replay.
 func TestDurableNaNProbability(t *testing.T) {
+	testDurableRejects(t, pskyline.Element{Point: []float64{0.1, 0.2, 0.3}, Prob: math.NaN(), TS: 21})
+}
+
+// TestDurableNonFiniteCoordinate is TestDurableNaNProbability for NaN and
+// ±Inf coordinates, which the engine's R-trees cannot order: +Inf and −Inf
+// panicked in a later leaf split, and a NaN corrupted dominance silently.
+func TestDurableNonFiniteCoordinate(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(x), func(t *testing.T) {
+			testDurableRejects(t, pskyline.Element{Point: []float64{0.1, x, 0.3}, Prob: 0.5, TS: 21})
+		})
+	}
+}
+
+// testDurableRejects checks that a durable monitor rejects bad before it
+// reaches the log, so the directory keeps reopening, and that a log already
+// holding bad as a record (as a build without the check wrote it) makes Open
+// fail with an error rather than panic in replay.
+func testDurableRejects(t *testing.T, bad pskyline.Element) {
+	t.Helper()
 	dir := t.TempDir()
 	opt := durOpt(dir, "never", -1)
 	m := mustOpen(t, opt)
 	els := durStream(5, 20, 3, 1)
 	pushAll(t, m, els)
-	nan := pskyline.Element{Point: []float64{0.1, 0.2, 0.3}, Prob: math.NaN(), TS: 21}
-	if _, err := m.Push(nan); err == nil {
-		t.Fatal("durable Push of a NaN probability accepted")
+	if _, err := m.Push(bad); err == nil {
+		t.Fatalf("durable Push of %+v accepted", bad)
 	}
-	if _, err := m.PushBatch([]pskyline.Element{els[0], nan}); err == nil {
-		t.Fatal("durable PushBatch holding a NaN probability accepted")
+	if _, err := m.PushBatch([]pskyline.Element{els[0], bad}); err == nil {
+		t.Fatalf("durable PushBatch holding %+v accepted", bad)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
@@ -566,12 +585,11 @@ func TestDurableNaNProbability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Append a NaN record directly, as a build without the check did.
 	w, _, err := wal.Open(dir, wal.Options{SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendElement(20, nan.Point, nan.Prob, nan.TS); err != nil {
+	if err := w.AppendElement(20, bad.Point, bad.Prob, bad.TS); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(); err != nil {
@@ -582,7 +600,7 @@ func TestDurableNaNProbability(t *testing.T) {
 	}
 	if m, err := pskyline.Open(opt); err == nil {
 		m.Close()
-		t.Fatal("Open replayed a NaN-probability record")
+		t.Fatalf("Open replayed a record of %+v", bad)
 	}
 }
 

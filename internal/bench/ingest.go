@@ -5,9 +5,13 @@
 // B/op, allocs/op per ingested element — and serializes the results as a
 // machine-readable trajectory (BENCH_ingest.json) so performance changes are
 // recorded across PRs instead of claimed in prose. Workloads cover
-// steady-state Push across dimensionalities and thresholds, Monitor-level
-// looped Push vs PushBatch (the batch-vs-sequential comparison), time-based
-// expiry, and a mixed read/write load.
+// steady-state engine Push across dimensionalities and thresholds, sharded
+// batch ingestion, time-based expiry, a mixed read/write load, and the
+// recovery reopen. perfbench's per-layer ladder measures the layers between
+// them — Monitor Push and PushBatch (monitor.push_us, monitor.pushbatch_us),
+// the WAL (wal.append_commit_us, wal.self_us) and semi-sync replication
+// (repl.commit_wait_ms) — so the looped-push, pushbatch, walpush and
+// replpush rows in BENCH_ingest.json are history from before it.
 package bench
 
 import (
@@ -21,7 +25,6 @@ import (
 
 	"pskyline"
 	"pskyline/internal/core"
-	"pskyline/internal/repl"
 	"pskyline/internal/streamgen"
 )
 
@@ -70,9 +73,6 @@ type IngestConfig struct {
 	// RecoverOnly runs only the recovery-reopen workloads (the
 	// `make bench-recovery` smoke target).
 	RecoverOnly bool
-	// ReplOnly runs only the replication push workloads (the semi-sync
-	// vs async A/B).
-	ReplOnly bool
 }
 
 const ingestQ = 0.3
@@ -141,66 +141,9 @@ func benchEnginePush(dims, window int, thresholds []float64, withMetrics, blockO
 	})
 }
 
-// benchMonitorPush measures Monitor-level element-wise Push (lock + ingest +
-// top-k refresh + view publication per element) — the "looped Push" side of
-// the batch comparison.
-func benchMonitorPush(dims, window int) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		m, err := pskyline.NewMonitor(pskyline.Options{Dims: dims, Window: window, Thresholds: []float64{ingestQ}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		elems := monitorElems(dims, 2*window+b.N)
-		for _, e := range elems[:2*window] {
-			if _, err := m.Push(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		elems = elems[2*window:]
-		b.ResetTimer()
-		for i := range elems {
-			if _, err := m.Push(elems[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchMonitorPushBatch measures Monitor-level batched ingestion at the
-// given batch size; ns/op is per element, not per batch.
-func benchMonitorPushBatch(dims, window, batch int) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		m, err := pskyline.NewMonitor(pskyline.Options{Dims: dims, Window: window, Thresholds: []float64{ingestQ}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		elems := monitorElems(dims, 2*window+b.N)
-		for _, e := range elems[:2*window] {
-			if _, err := m.Push(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		elems = elems[2*window:]
-		b.ResetTimer()
-		for len(elems) > 0 {
-			n := batch
-			if n > len(elems) {
-				n = len(elems)
-			}
-			if _, err := m.PushBatch(elems[:n]); err != nil {
-				b.Fatal(err)
-			}
-			elems = elems[n:]
-		}
-	})
-}
-
 // benchShardedPush measures batched ingestion through a ShardedMonitor in
 // synchronous mode: route + per-shard sequence stamping + end-of-batch
-// watermark ticks on every shard. Compared against the shards=1 row (and the
-// pushbatch row, which is the unsharded Monitor on the same batch size) this
+// watermark ticks on every shard. Compared against the shards=1 row this
 // isolates the sharding overhead; on a single-core machine no parallel
 // speedup is available, so the spread between shards=1 and shards=4 is the
 // price of the seam, not a throughput claim.
@@ -237,120 +180,6 @@ func benchShardedPush(dims, window, shards, batch int) testing.BenchmarkResult {
 				b.Fatal(err)
 			}
 			elems = elems[n:]
-		}
-	})
-}
-
-// benchMonitorPushWAL measures element-wise Push with durability on: every
-// push appends its element to the WAL and commits (one buffered write, plus
-// an fsync under the "always" policy) before the engine applies it.
-// Checkpoints are disabled so the row isolates the logging cost; the no-WAL
-// baseline is the looped-push row.
-func benchMonitorPushWAL(dims, window int, fsync string) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		dir, err := os.MkdirTemp("", "pskybench-wal-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		m, err := pskyline.Open(pskyline.Options{
-			Dims: dims, Window: window, Thresholds: []float64{ingestQ},
-			Durability: pskyline.Durability{Dir: dir, Fsync: fsync, CheckpointEvery: -1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		elems := monitorElems(dims, 2*window+b.N)
-		for _, e := range elems[:2*window] {
-			if _, err := m.Push(e); err != nil {
-				b.Fatal(err)
-			}
-		}
-		elems = elems[2*window:]
-		b.ResetTimer()
-		for i := range elems {
-			if _, err := m.Push(elems[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchReplPush measures element-wise Push on a replicating durable primary
-// with one loopback follower attached. semiK=0 is the async control: the
-// follower streams in the background and pushes never wait. semiK=1 blocks
-// every push on the follower's ack, so ns/op is the full commit round trip —
-// local apply + WAL append + stream-out + follower apply + ack — i.e. the
-// same-machine price of the semi-sync guarantee, dominated by the server's
-// tail-follow poll rather than by compute.
-func benchReplPush(dims, window, semiK int) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		pdir, err := os.MkdirTemp("", "pskybench-repl-primary-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(pdir)
-		fdir, err := os.MkdirTemp("", "pskybench-repl-replica-")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer os.RemoveAll(fdir)
-		mkOpt := func(dir string) pskyline.Options {
-			return pskyline.Options{
-				Dims: dims, Window: window, Thresholds: []float64{ingestQ},
-				Durability: pskyline.Durability{Dir: dir, Fsync: "never", CheckpointEvery: -1},
-			}
-		}
-		m, err := pskyline.Open(mkOpt(pdir))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer m.Close()
-		srv, err := repl.NewServer(m, "127.0.0.1:0", repl.ServerOptions{
-			SemiSyncK: semiK, AckWait: 5 * time.Second,
-			Heartbeat: 50 * time.Millisecond, Poll: time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		f, err := repl.StartFollower(mkOpt(fdir), repl.FollowerOptions{Addr: srv.Addr().String()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-
-		elems := monitorElems(dims, 2*window+b.N)
-		for head := elems[:2*window]; len(head) > 0; {
-			n := 512
-			if n > len(head) {
-				n = len(head)
-			}
-			if _, err := m.PushBatch(head[:n]); err != nil {
-				b.Fatal(err)
-			}
-			head = head[n:]
-		}
-		elems = elems[2*window:]
-		if semiK > 0 {
-			// Time the enforced guarantee, not the catch-up window: wait for
-			// the upgrade to semisync before starting the clock.
-			deadline := time.Now().Add(30 * time.Second)
-			for srv.Status().SyncState != repl.SyncSemiSync.String() {
-				if time.Now().After(deadline) {
-					b.Fatalf("semisync upgrade never happened: %+v", srv.Status())
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
-		b.ResetTimer()
-		for i := range elems {
-			if _, err := m.Push(elems[i]); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }
@@ -466,14 +295,6 @@ func Ingest(cfg IngestConfig, w io.Writer) IngestRun {
 		fmt.Fprintf(w, "  %-28s %10.0f ns/op %8d B/op %7.2f allocs/op %12.0f elems/s\n",
 			row.Name, row.NsPerOp, row.BytesPerOp, row.AllocsPerOp, row.ElemsPerSec)
 	}
-	replRows := func() {
-		add("replpush/d=3/async", benchReplPush(3, window, 0))
-		add("replpush/d=3/semisync-k1", benchReplPush(3, window, 1))
-	}
-	if cfg.ReplOnly {
-		replRows()
-		return run
-	}
 	if !cfg.RecoverOnly {
 		for _, d := range []int{2, 3, 5} {
 			add(fmt.Sprintf("push/d=%d/q=%.1f", d, ingestQ), benchEnginePush(d, window, []float64{ingestQ}, true, false))
@@ -482,13 +303,8 @@ func Ingest(cfg IngestConfig, w io.Writer) IngestRun {
 		add("push/d=3/blockoff", benchEnginePush(3, window, []float64{ingestQ}, true, true))
 		add("push/d=3/q=0.7", benchEnginePush(3, window, []float64{0.7}, true, false))
 		add("push/d=3/k=3", benchEnginePush(3, window, []float64{0.7, 0.5, 0.3}, true, false))
-		add("looped-push/d=3", benchMonitorPush(3, window))
-		add("pushbatch/d=3/B=512", benchMonitorPushBatch(3, window, 512))
 		add("shardpush/d=3/shards=1/B=512", benchShardedPush(3, window, 1, 512))
 		add("shardpush/d=3/shards=4/B=512", benchShardedPush(3, window, 4, 512))
-		add("walpush/d=3/fsync=never", benchMonitorPushWAL(3, window, "never"))
-		add("walpush/d=3/fsync=interval", benchMonitorPushWAL(3, window, "interval"))
-		replRows()
 		add("expire/d=3", benchExpire(3, window))
 		add("mixed/d=3", benchMixed(3, window))
 	}

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pskyline/internal/aggrtree"
@@ -352,6 +353,11 @@ func (e *Engine) Push(pt geom.Point, p float64, ts int64) (*aggrtree.Item, error
 func (e *Engine) checkElem(pt geom.Point, p float64) error {
 	if len(pt) != e.dims {
 		return fmt.Errorf("core: point dimensionality %d != %d", len(pt), e.dims)
+	}
+	for i, x := range pt {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("core: point coordinate %d is %v, not finite", i, x)
+		}
 	}
 	if !(p > 0 && p <= 1) { // also rejects NaN
 		return fmt.Errorf("core: occurrence probability %v out of (0,1]", p)

@@ -152,6 +152,14 @@ func TestPushValidationEngine(t *testing.T) {
 	if _, err := e.Push(geom.Point{1, 2}, math.NaN(), 0); err == nil {
 		t.Error("p=NaN accepted")
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := e.Push(geom.Point{x, 2}, 0.5, 0); err == nil {
+			t.Errorf("coordinate %v accepted", x)
+		}
+		if _, err := e.PushAt(e.NextSeq(), geom.Point{1, x}, 0.5, 0); err == nil {
+			t.Errorf("PushAt coordinate %v accepted", x)
+		}
+	}
 	// A count-window engine takes PushAt only as the dense continuation.
 	if _, err := e.PushAt(5, geom.Point{1, 2}, 0.5, 0); err == nil {
 		t.Error("sparse PushAt on a count-window engine accepted")

@@ -20,10 +20,8 @@ func SpanStages() []string {
 func SpanAdmitTime(sp obs.Span) time.Time { return obs.WallAt(sp.AdmitNs) }
 
 // LatencyOptions configures ingest-to-visibility latency tracking and the
-// flight recorder. The zero value enables tracking with the defaults; set
-// Disable for an instrumentation-off control (the hot path then takes no
-// extra clock reads at admission and records no spans — the A/B baseline the
-// load harness measures overhead against).
+// flight recorder. Tracking is always on; the zero value selects the
+// defaults.
 //
 // Tracking stamps every element once at front-end admission — where Push,
 // PushBatch or the sharded front end accepts it, before any queueing or lock
@@ -38,9 +36,6 @@ func SpanAdmitTime(sp obs.Span) time.Time { return obs.WallAt(sp.AdmitNs) }
 // obs.NumEpochs, plus cumulative totals) exported per shard and per stream,
 // and every completed write leaves a span record in the flight recorder.
 type LatencyOptions struct {
-	// Disable turns tracking off entirely: no admission stamps, no windowed
-	// histograms, no flight recorder.
-	Disable bool
 	// Epoch is the rotation interval of the windowed latency histograms;
 	// the recent quantiles cover the last obs.NumEpochs epochs. 0 selects
 	// obs.DefaultEpoch (10s, i.e. a one-minute window).
@@ -56,39 +51,10 @@ type LatencyOptions struct {
 	SlowThreshold time.Duration
 }
 
-// initLatency wires the latency instrumentation configured in m.opts. Called
-// from newMonitorCore, before any push can run.
-func (m *Monitor) initLatency() {
-	m.shardIdx = -1
-	if sh := m.opts.shard; sh != nil {
-		m.shardIdx = int32(sh.index)
-	}
-	lo := m.opts.Latency
-	if lo.Disable {
-		return
-	}
-	m.latOn = true
-	m.met.latApplied.Init(lo.Epoch)
-	m.met.latVisible.Init(lo.Epoch)
-	m.flight = obs.NewFlightRecorder(lo.FlightDepth, lo.SlowDepth, lo.SlowThreshold)
-}
-
-// admitNow stamps an element's admission: one monotonic clock read at the
-// public write entry point, before queueing or lock acquisition, so queue
-// residency and lock wait count toward the element's latency. Returns 0 when
-// tracking is off — the zero stamp propagates through the op structs and
-// suppresses recording downstream without further branching.
-func (m *Monitor) admitNow() int64 {
-	if !m.latOn {
-		return 0
-	}
-	return obs.NowNs()
-}
-
 // opSpan tracks one write operation (a push, a batch, or a drained async
 // batch) from the moment its owner acquired the monitor lock to the view
 // publication that made it visible. It lives on the caller's stack — no
-// allocation — and degenerates to a few nil-checks when tracking is off.
+// allocation.
 type opSpan struct {
 	on      bool
 	admitNs int64 // admission stamp of the operation's first stamped element
@@ -99,12 +65,9 @@ type opSpan struct {
 
 // beginOpLocked arms the span with the admission stamp of the write's first
 // stamped op and resets the engine's per-operation stage accumulator.
-// Callers hold m.mu. Without a stamp (tracking off, or a tick-only write)
-// the span stays disarmed.
+// Callers hold m.mu. A tick-only write carries no stamp: its span stays
+// disarmed.
 func (m *Monitor) beginOpLocked(sp *opSpan, ops []writeOp, queue int) {
-	if !m.latOn {
-		return
-	}
 	for i := range ops {
 		if a := ops[i].admitNs; a != 0 {
 			sp.on = true
@@ -175,11 +138,8 @@ type FlightInfo struct {
 
 // Flight dumps the flight recorder. Lock-free: reading the rings never blocks
 // ingestion, and spans being overwritten concurrently are skipped rather than
-// returned torn. Empty when latency tracking is disabled.
+// returned torn.
 func (m *Monitor) Flight() FlightInfo {
-	if m.flight == nil {
-		return FlightInfo{}
-	}
 	return FlightInfo{
 		Recent:        m.flight.Recent(),
 		Slow:          m.flight.Slow(),
@@ -224,7 +184,7 @@ type LatencySummary struct {
 }
 
 // LatencyMetrics is the ingest-to-visibility latency slice of a Metrics
-// snapshot; nil when tracking is disabled.
+// snapshot.
 type LatencyMetrics struct {
 	// Applied is admission → engine-applied; Visible is admission →
 	// view-publish (the element answerable by queries).
@@ -251,12 +211,8 @@ func latencySummary(w *obs.WindowedHistogram, nowNs int64) LatencySummary {
 	}
 }
 
-// latencyMetrics assembles the Metrics().Latency block (nil when tracking is
-// off). Lock-free.
+// latencyMetrics assembles the Metrics().Latency block. Lock-free.
 func (m *Monitor) latencyMetrics() *LatencyMetrics {
-	if !m.latOn {
-		return nil
-	}
 	now := obs.NowNs()
 	return &LatencyMetrics{
 		Applied:       latencySummary(&m.met.latApplied, now),

@@ -217,35 +217,82 @@ func TestLatencyTrackingSharded(t *testing.T) {
 	}
 }
 
-// TestLatencyDisabled pins the instrumentation-off control: no latency
-// metrics, no flight spans, no summary series — and pushes still work.
-func TestLatencyDisabled(t *testing.T) {
-	m, err := pskyline.NewMonitor(pskyline.Options{
+// TestLatencyAfterRestore: a monitor recovered by Open from a checkpoint and
+// one built by RestoreMonitor are instrumented exactly like a fresh one —
+// latency metrics, flight spans and the visibility summary — and a negative
+// AsyncQueue is rejected on every construction path.
+func TestLatencyAfterRestore(t *testing.T) {
+	opt := pskyline.Options{
 		Dims: 2, Window: 64, Thresholds: []float64{0.3},
-		Latency: pskyline.LatencyOptions{Disable: true},
-	})
+		Durability: pskyline.Durability{Dir: t.TempDir(), Fsync: "never", CheckpointEvery: -1},
+	}
+	els := genLatencyElements(21, 200, 2)
+	m, err := pskyline.Open(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	for _, e := range genLatencyElements(14, 100, 2) {
+	for _, e := range els[:100] {
 		if _, err := m.Push(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if lm := m.Metrics().Latency; lm != nil {
-		t.Fatalf("Latency = %+v with tracking disabled, want nil", lm)
-	}
-	fi := m.Flight()
-	if fi.Recorded != 0 || len(fi.Recent) != 0 {
-		t.Fatalf("flight recorder active with tracking disabled: %+v", fi)
-	}
-	var buf bytes.Buffer
-	if err := m.WritePrometheus(&buf); err != nil {
+	var ckpt bytes.Buffer
+	if err := m.Snapshot(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "pskyline_visibility_latency_seconds") {
-		t.Fatal("visibility summary exported with tracking disabled")
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckptBytes := ckpt.Bytes()
+
+	reopened, err := pskyline.Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.Recovery().CheckpointSeq == 0 {
+		t.Fatalf("reopen did not restore the checkpoint: %+v", reopened.Recovery())
+	}
+	restored, err := pskyline.RestoreMonitor(bytes.NewReader(ckptBytes), pskyline.RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	for name, r := range map[string]*pskyline.Monitor{"Open": reopened, "RestoreMonitor": restored} {
+		for _, e := range els[100:] {
+			if _, err := r.Push(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lm := r.Metrics().Latency
+		if lm == nil || lm.Visible.TotalCount != 100 {
+			t.Errorf("%s: Metrics().Latency = %+v, want 100 visible samples", name, lm)
+		}
+		if fi := r.Flight(); fi.Recorded != 100 {
+			t.Errorf("%s: flight recorder holds %d spans, want 100", name, fi.Recorded)
+		}
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "pskyline_visibility_latency_seconds_count 100") {
+			t.Errorf("%s: visibility summary missing from the exposition", name)
+		}
+	}
+
+	bad := opt
+	bad.AsyncQueue = -1
+	_, restoredErr := pskyline.Open(bad)
+	bad.Durability.Dir = t.TempDir()
+	_, freshErr := pskyline.Open(bad)
+	if restoredErr == nil || freshErr == nil || restoredErr.Error() != freshErr.Error() {
+		t.Errorf("AsyncQueue=-1: Open with a checkpoint returned %v, on a fresh directory %v", restoredErr, freshErr)
+	}
+	if _, err := pskyline.RestoreMonitor(bytes.NewReader(ckptBytes), pskyline.RestoreOptions{AsyncQueue: -1}); err == nil {
+		t.Error("AsyncQueue=-1: RestoreMonitor accepted it")
 	}
 }
 

@@ -183,18 +183,16 @@ func (m *Monitor) buildRegistry() {
 	hist("pskyline_publish_interval_seconds",
 		"Interval between consecutive view publications.", &mm.publishGap)
 
-	if m.latOn {
-		r.RegisterWindowed("pskyline_ingest_apply_latency_seconds",
-			"Admission-to-engine-applied latency over the recent window (quantiles) and process lifetime (sum/count).",
-			&mm.latApplied, lbl()...)
-		r.RegisterWindowed("pskyline_visibility_latency_seconds",
-			"Admission-to-view-publish latency over the recent window (quantiles) and process lifetime (sum/count).",
-			&mm.latVisible, lbl()...)
-		counterFn("pskyline_flight_spans_total", "Write operations recorded by the flight recorder.",
-			func() float64 { return float64(m.flight.Recorded()) })
-		counterFn("pskyline_flight_slow_total", "Flight spans at or above the slow threshold.",
-			func() float64 { return float64(m.flight.SlowLatched()) })
-	}
+	r.RegisterWindowed("pskyline_ingest_apply_latency_seconds",
+		"Admission-to-engine-applied latency over the recent window (quantiles) and process lifetime (sum/count).",
+		&mm.latApplied, lbl()...)
+	r.RegisterWindowed("pskyline_visibility_latency_seconds",
+		"Admission-to-view-publish latency over the recent window (quantiles) and process lifetime (sum/count).",
+		&mm.latVisible, lbl()...)
+	counterFn("pskyline_flight_spans_total", "Write operations recorded by the flight recorder.",
+		func() float64 { return float64(m.flight.Recorded()) })
+	counterFn("pskyline_flight_slow_total", "Flight spans at or above the slow threshold.",
+		func() float64 { return float64(m.flight.SlowLatched()) })
 
 	if m.aq != nil {
 		q := m.aq
@@ -312,8 +310,7 @@ type Metrics struct {
 	QueueCapacity int
 	QueueDropped  uint64
 	// Latency reports ingest-to-visibility latency over the recent window
-	// and the flight recorder's counters; nil when Options.Latency.Disable
-	// is set.
+	// and the flight recorder's counters. Never nil for a Monitor.
 	Latency *LatencyMetrics
 	// WAL reports the durability subsystem; nil when durability is disabled.
 	WAL *WALMetrics

@@ -3,10 +3,14 @@ package pskyline_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"pskyline"
+	"pskyline/internal/repl"
 )
 
 // TestMonitorMetricsSnapshot drives a window's worth of churn through a
@@ -165,5 +169,141 @@ func TestMonitorExporters(t *testing.T) {
 	}
 	if _, ok := js["pskyline_stage_seconds"]; !ok {
 		t.Error("JSON output missing pskyline_stage_seconds")
+	}
+}
+
+// typeLines returns the sorted "# TYPE <name> <type>" lines of a Prometheus
+// exposition, one per exported family.
+func typeLines(t *testing.T, write func(io.Writer) error) []string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, l := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(l, "# TYPE ") {
+			out = append(out, strings.TrimPrefix(l, "# TYPE "))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestExportedSeriesGolden pins the set of exported series and their types:
+// a durable monitor with an async queue, the same directory reopened from
+// its checkpoint, and the replication server's block. A series that is
+// renamed, changes type, or goes missing after a restore fails here.
+func TestExportedSeriesGolden(t *testing.T) {
+	wantMonitor := []string{
+		"pskyline_band_moves_total counter",
+		"pskyline_candidate_removals_total counter",
+		"pskyline_candidates gauge",
+		"pskyline_candidates_max gauge",
+		"pskyline_checkpoint_failures_total counter",
+		"pskyline_checkpoint_seq gauge",
+		"pskyline_checkpoints_total counter",
+		"pskyline_expiries_total counter",
+		"pskyline_flight_slow_total counter",
+		"pskyline_flight_spans_total counter",
+		"pskyline_ingest_apply_latency_seconds summary",
+		"pskyline_items_touched_total counter",
+		"pskyline_lazy_applied_total counter",
+		"pskyline_mean_occurrence_prob gauge",
+		"pskyline_nodes_visited_total counter",
+		"pskyline_publish_age_seconds gauge",
+		"pskyline_publish_interval_seconds histogram",
+		"pskyline_pushes_total counter",
+		"pskyline_queue_capacity gauge",
+		"pskyline_queue_depth gauge",
+		"pskyline_queue_dropped_total counter",
+		"pskyline_recovery_replayed_records gauge",
+		"pskyline_recovery_truncated_bytes gauge",
+		"pskyline_skyline_enters_total counter",
+		"pskyline_skyline_leaves_total counter",
+		"pskyline_skyline_max gauge",
+		"pskyline_skyline_size gauge",
+		"pskyline_stage_seconds histogram",
+		"pskyline_theory_candidate_bound gauge",
+		"pskyline_theory_skyline_bound gauge",
+		"pskyline_threshold_max gauge",
+		"pskyline_threshold_min gauge",
+		"pskyline_view_publishes_total counter",
+		"pskyline_visibility_latency_seconds summary",
+		"pskyline_wal_appended_bytes_total counter",
+		"pskyline_wal_appends_total counter",
+		"pskyline_wal_commits_total counter",
+		"pskyline_wal_dropped_bytes_total counter",
+		"pskyline_wal_dropped_records_total counter",
+		"pskyline_wal_fsyncs_total counter",
+		"pskyline_wal_gc_segments_total counter",
+		"pskyline_wal_reattaches_total counter",
+		"pskyline_wal_retries_total counter",
+		"pskyline_wal_rotations_total counter",
+		"pskyline_wal_segments gauge",
+		"pskyline_wal_size_bytes gauge",
+		"pskyline_wal_state gauge",
+		"pskyline_wal_write_errors_total counter",
+		"pskyline_window_fill gauge",
+	}
+	wantRepl := []string{
+		"pskyline_repl_checkpoint_sends_total counter",
+		"pskyline_repl_epoch gauge",
+		"pskyline_repl_follower_applied_seq gauge",
+		"pskyline_repl_follower_lag_seconds gauge",
+		"pskyline_repl_follower_lag_seq gauge",
+		"pskyline_repl_followers gauge",
+		"pskyline_repl_quorum_acked_seq gauge",
+		"pskyline_repl_rejects_total counter",
+		"pskyline_repl_semisync_degrades_total counter",
+		"pskyline_repl_semisync_k gauge",
+		"pskyline_repl_semisync_shortfalls_total counter",
+		"pskyline_repl_semisync_upgrades_total counter",
+		"pskyline_repl_semisync_wait_timeouts_total counter",
+		"pskyline_repl_semisync_waits_total counter",
+		"pskyline_repl_sync_state gauge",
+	}
+
+	opt := pskyline.Options{
+		Dims: 2, Window: 64, Thresholds: []float64{0.3}, AsyncQueue: 16,
+		Durability: pskyline.Durability{Dir: t.TempDir(), Fsync: "never", CheckpointEvery: -1},
+	}
+	m, err := pskyline.Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PushBatch(genElements(31, 200, 2, false)); err != nil {
+		t.Fatal(err)
+	}
+	m.Drain()
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := typeLines(t, m.WritePrometheus); !slices.Equal(got, wantMonitor) {
+		t.Errorf("durable async monitor exports:\n%s", strings.Join(got, "\n"))
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err = pskyline.Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !m.Recovery().Recovered || m.Recovery().CheckpointSeq == 0 {
+		t.Fatalf("reopen did not restore the checkpoint: %+v", m.Recovery())
+	}
+	if got := typeLines(t, m.WritePrometheus); !slices.Equal(got, wantMonitor) {
+		t.Errorf("monitor reopened from its checkpoint exports:\n%s", strings.Join(got, "\n"))
+	}
+
+	srv, err := repl.NewServer(m, "127.0.0.1:0", repl.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got := typeLines(t, srv.WritePrometheus); !slices.Equal(got, wantRepl) {
+		t.Errorf("replication server exports:\n%s", strings.Join(got, "\n"))
 	}
 }

@@ -36,6 +36,7 @@ package pskyline
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,7 @@ var errShardMember = errors.New("pskyline: monitor is a shard member; push throu
 // Element is one uncertain stream element handed to Push.
 type Element struct {
 	// Point is the element's location; smaller coordinates dominate. Its
-	// length must equal Options.Dims.
+	// length must equal Options.Dims, and every coordinate must be finite.
 	Point []float64
 	// Prob is the occurrence probability, in (0, 1].
 	Prob float64
@@ -145,8 +146,8 @@ type Options struct {
 	AsyncPolicy OverloadPolicy
 
 	// Latency configures ingest-to-visibility latency tracking and the
-	// flight recorder. The zero value enables both with the defaults; set
-	// Latency.Disable for an instrumentation-off control. See LatencyOptions.
+	// flight recorder, which are always on; the zero value selects the
+	// defaults. See LatencyOptions.
 	Latency LatencyOptions
 
 	// Durability, when Dir is set, makes the monitor crash-recoverable:
@@ -212,10 +213,9 @@ type Monitor struct {
 	probSum   float64
 	probCount uint64
 
-	// Ingest-to-visibility latency tracking (Options.Latency): latOn gates
-	// the admission stamps, flight is the per-write span recorder, and
-	// shardIdx labels this monitor's flight spans (−1 unsharded).
-	latOn    bool
+	// Ingest-to-visibility latency tracking (Options.Latency): flight is the
+	// per-write span recorder, and shardIdx labels this monitor's flight
+	// spans (−1 unsharded).
 	flight   *obs.FlightRecorder
 	shardIdx int32
 
@@ -284,19 +284,10 @@ func newMonitorCore(opt Options) (*Monitor, error) {
 	} else if (opt.Window > 0) == (opt.Period > 0) {
 		return nil, errors.New("pskyline: exactly one of Window and Period must be positive")
 	}
-	if opt.AsyncQueue < 0 {
-		return nil, errors.New("pskyline: AsyncQueue must be >= 0")
+	m, err := newMonitorBase(opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.AsyncPolicy < Block || opt.AsyncPolicy > DropOldest {
-		return nil, errors.New("pskyline: unknown AsyncPolicy")
-	}
-	m := &Monitor{
-		data:   make(map[uint64]any),
-		period: opt.Period,
-		opts:   opt,
-	}
-	m.trace = newTraceRing(opt.TraceDepth)
-	m.initLatency()
 	eng, err := core.NewEngine(core.Options{
 		Dims:          opt.Dims,
 		Window:        opt.Window,
@@ -314,6 +305,35 @@ func newMonitorCore(opt Options) (*Monitor, error) {
 		return nil, fmt.Errorf("pskyline: %w", err)
 	}
 	m.dims = eng.Dims()
+	return m, nil
+}
+
+// newMonitorBase checks the async options and returns a monitor carrying
+// opt with what every construction path sets up the same way: the payload
+// map, the skyline trace ring and the latency instrumentation (windowed
+// histograms, flight recorder, shard label). newMonitorCore gives it a
+// fresh engine; restoreCore a checkpointed one.
+func newMonitorBase(opt Options) (*Monitor, error) {
+	if opt.AsyncQueue < 0 {
+		return nil, errors.New("pskyline: AsyncQueue must be >= 0")
+	}
+	if opt.AsyncPolicy < Block || opt.AsyncPolicy > DropOldest {
+		return nil, errors.New("pskyline: unknown AsyncPolicy")
+	}
+	lo := opt.Latency
+	m := &Monitor{
+		data:     make(map[uint64]any),
+		period:   opt.Period,
+		opts:     opt,
+		trace:    newTraceRing(opt.TraceDepth),
+		flight:   obs.NewFlightRecorder(lo.FlightDepth, lo.SlowDepth, lo.SlowThreshold),
+		shardIdx: -1,
+	}
+	if sh := opt.shard; sh != nil {
+		m.shardIdx = int32(sh.index)
+	}
+	m.met.latApplied.Init(lo.Epoch)
+	m.met.latVisible.Init(lo.Epoch)
 	return m, nil
 }
 
@@ -407,6 +427,11 @@ func (m *Monitor) validate(e Element) error {
 	if len(e.Point) != m.dims {
 		return fmt.Errorf("pskyline: point dimensionality %d != %d", len(e.Point), m.dims)
 	}
+	for i, x := range e.Point {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("pskyline: point coordinate %d is %v, not finite", i, x)
+		}
+	}
 	if !(e.Prob > 0 && e.Prob <= 1) { // also rejects NaN
 		return fmt.Errorf("pskyline: occurrence probability %v out of (0,1]", e.Prob)
 	}
@@ -450,7 +475,9 @@ func (m *Monitor) PushBatch(es []Element) (uint64, error) {
 	if p := m.walErr.Load(); p != nil {
 		return 0, *p
 	}
-	admit := m.admitNow()
+	// Stamp admission before queueing and the lock, so queue residency and
+	// lock wait count toward the elements' latency.
+	admit := obs.NowNs()
 	if m.aq != nil {
 		return m.aq.enqueueBatch(es, admit)
 	}
@@ -499,7 +526,7 @@ type writeOp struct {
 	// admitNs is the element's front-end admission stamp (obs.NowNs at the
 	// moment Push/PushBatch accepted it, before sequencing, queueing or lock
 	// wait), carried to the apply for ingest-to-visibility latency
-	// recording. 0 when latency tracking is off, and always 0 on ticks.
+	// recording. Always 0 on ticks.
 	admitNs int64
 }
 

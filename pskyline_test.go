@@ -53,6 +53,11 @@ func TestPushValidation(t *testing.T) {
 	if _, err := m.Push(pskyline.Element{Point: []float64{1, 2}, Prob: math.NaN()}); err == nil {
 		t.Error("NaN probability accepted")
 	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := m.Push(pskyline.Element{Point: []float64{1, x}, Prob: 0.5}); err == nil {
+			t.Errorf("coordinate %v accepted", x)
+		}
+	}
 }
 
 func TestMonitorBasics(t *testing.T) {

@@ -258,7 +258,7 @@ func (s *ShardedMonitor) PushBatch(es []Element) (uint64, error) {
 			return 0, fmt.Errorf("batch element %d: %w", i, err)
 		}
 	}
-	admit := s.shards[0].admitNow()
+	admit := obs.NowNs() // before the front-end lock: its wait counts toward latency
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

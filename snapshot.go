@@ -125,7 +125,7 @@ type RestoreOptions struct {
 // RestoreMonitor reads a checkpoint written by Snapshot and returns a
 // monitor that continues exactly where the snapshotted one stopped.
 func RestoreMonitor(r io.Reader, ro RestoreOptions) (*Monitor, error) {
-	m, err := restoreCore(r, Options{
+	m, err := newMonitorBase(Options{
 		OnEnter: ro.OnEnter, OnLeave: ro.OnLeave,
 		TopK: ro.TopK, TopKMinQ: ro.TopKMinQ, OnTopK: ro.OnTopK,
 		AsyncQueue: ro.AsyncQueue, TraceDepth: ro.TraceDepth,
@@ -133,45 +133,42 @@ func RestoreMonitor(r io.Reader, ro RestoreOptions) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := m.restoreCore(r); err != nil {
+		return nil, err
+	}
 	return m.finish(), nil
 }
 
-// restoreCore decodes a checkpoint into a monitor carrying opt's
-// configuration, without publishing a view or starting background
+// restoreCore decodes a checkpoint into m, a monitor fresh from
+// newMonitorBase, without publishing a view or starting background
 // goroutines — the recovery path replays the WAL tail first.
-func restoreCore(r io.Reader, opt Options) (*Monitor, error) {
+func (m *Monitor) restoreCore(r io.Reader) error {
 	if err := readSnapshotHeader(r); err != nil {
-		return nil, err
+		return err
 	}
 	dec := gob.NewDecoder(r)
 	var ms monitorSnapshot
 	if err := dec.Decode(&ms); err != nil {
-		return nil, fmt.Errorf("pskyline: restore: %w", err)
+		return fmt.Errorf("pskyline: restore: %w", err)
 	}
-	m := &Monitor{
-		data:            ms.Data,
-		period:          ms.Period,
-		opts:            opt,
-		probSum:         ms.ProbSum,
-		probCount:       ms.ProbCount,
-		lastTS:          ms.LastTS,
-		snapShardWindow: ms.ShardWindow,
+	if ms.Data != nil {
+		m.data = ms.Data
 	}
-	if m.data == nil {
-		m.data = make(map[uint64]any)
-	}
-	m.trace = newTraceRing(opt.TraceDepth)
+	m.period = ms.Period
+	m.probSum, m.probCount = ms.ProbSum, ms.ProbCount
+	m.lastTS = ms.LastTS
+	m.snapShardWindow = ms.ShardWindow
 	eng, err := core.RestoreFrom(dec, core.RestoreOptions{
 		OnChange: m.onChange,
 		Metrics:  &m.met.eng,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("pskyline: restore: %w", err)
+		return fmt.Errorf("pskyline: restore: %w", err)
 	}
 	m.eng = eng
 	if err := m.initTopK(); err != nil {
-		return nil, fmt.Errorf("pskyline: restore: %w", err)
+		return fmt.Errorf("pskyline: restore: %w", err)
 	}
 	m.dims = eng.Dims()
-	return m, nil
+	return nil
 }
