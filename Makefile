@@ -109,21 +109,16 @@ perfbench-test:
 
 # Bounded fuzzing smoke: `make test` only replays each fuzz target's seed
 # corpus; this runs every target's coverage-guided mutation for FUZZTIME
-# (go test -fuzz takes one target and one package per run). A failing input
-# is written to the package's testdata/fuzz directory for reproduction.
+# (go test -fuzz takes one target and one package per run). The targets are
+# discovered, not listed: `go test -list '^Fuzz' ./...` prints each package's
+# targets followed by its `ok <import path>` line. A failing input is written
+# to the package's testdata/fuzz directory for reproduction.
 FUZZTIME ?= 5s
-FUZZ_TARGETS = \
-	.:FuzzParseStreamSpec \
-	.:FuzzShardRoute \
-	./internal/repl:FuzzReplFrame \
-	./internal/aggrtree:FuzzBulkLoad \
-	./internal/wal:FuzzWALRecord \
-	./internal/wal:FuzzWALRecordHeader \
-	./internal/netfault:FuzzNetfaultSchedule \
-	./internal/vfs:FuzzVFSSchedule \
-	./internal/core:FuzzEngine
 fuzz-smoke:
-	@set -e; for t in $(FUZZ_TARGETS); do \
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	targets=$$(printf '%s\n' "$$list" | awk '/^Fuzz/ { fn[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2 ":" fn[i]; n = 0 }'); \
+	if [ -z "$$targets" ]; then echo "fuzz-smoke: no fuzz targets found"; exit 1; fi; \
+	for t in $$targets; do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
 		echo "fuzz $$fn ($$pkg, $(FUZZTIME))"; \
 		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg; \

@@ -129,7 +129,7 @@ func main() {
 		snapshot = flag.Int("snapshot", 0, "print a skyline snapshot every N elements instead of events")
 		summary  = flag.Bool("summary", false, "print only final statistics")
 		file     = flag.String("f", "", "input file (default stdin)")
-		ckpt     = flag.String("checkpoint", "", "checkpoint file: loaded at start if present, written at exit")
+		ckpt     = flag.String("checkpoint", "", "checkpoint file: loaded at start if present (with the same -dims, -window/-period and -q), written at exit")
 		batch    = flag.Int("batch", 1, "ingest the stream in batches of this many elements")
 		async    = flag.Int("async", 0, "route ingestion through a bounded async queue of this capacity (0 = synchronous)")
 		asyncPol = flag.String("async-policy", "block", "full async queue response: block (backpressure), drop-newest or drop-oldest")
@@ -188,6 +188,39 @@ func main() {
 	}
 }
 
+// options builds the monitor Options every mode starts from: the
+// dimensionality, window and thresholds, the async queue and its policy,
+// latency tracking and — with -wal — durability. A -checkpoint resume passes
+// the same Options to RestoreMonitor, which checks them against the file.
+func (cfg config) options() (pskyline.Options, error) {
+	pol, err := pskyline.ParseOverloadPolicy(cfg.asyncPolicy)
+	if err != nil {
+		return pskyline.Options{}, err
+	}
+	opt := pskyline.Options{
+		Dims: cfg.dims, Thresholds: cfg.thresholds,
+		AsyncQueue: cfg.async, AsyncPolicy: pol,
+		Latency: pskyline.LatencyOptions{Epoch: cfg.latencyEpoch, SlowThreshold: cfg.slowThreshold},
+	}
+	if cfg.period > 0 {
+		opt.Period = cfg.period
+	} else {
+		opt.Window = cfg.window
+	}
+	if cfg.walDir != "" {
+		opt.Durability = pskyline.Durability{
+			Dir:             cfg.walDir,
+			Fsync:           cfg.walFsync,
+			Policy:          cfg.walPolicy,
+			SegmentBytes:    int64(cfg.walSegmentMB) << 20,
+			CheckpointEvery: cfg.walCkptEvery,
+			InjectFaults:    cfg.walFault,
+			FaultSeed:       cfg.walFaultSeed,
+		}
+	}
+	return opt, nil
+}
+
 // run executes one streaming session: restore-or-create the monitor, feed
 // the input through it (optionally batched and/or async), serve snapshot
 // prints from the published view, and checkpoint at exit.
@@ -239,31 +272,9 @@ func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 	if cfg.shards > 1 && cfg.ckpt != "" {
 		return fmt.Errorf("-shards and -checkpoint are mutually exclusive: sharded state checkpoints through -wal")
 	}
-	opt := pskyline.Options{Dims: cfg.dims, Thresholds: cfg.thresholds, AsyncQueue: cfg.async}
-	opt.Latency = pskyline.LatencyOptions{
-		Epoch:         cfg.latencyEpoch,
-		SlowThreshold: cfg.slowThreshold,
-	}
-	pol, perr := pskyline.ParseOverloadPolicy(cfg.asyncPolicy)
-	if perr != nil {
-		return perr
-	}
-	opt.AsyncPolicy = pol
-	if cfg.period > 0 {
-		opt.Period = cfg.period
-	} else {
-		opt.Window = cfg.window
-	}
-	if cfg.walDir != "" {
-		opt.Durability = pskyline.Durability{
-			Dir:             cfg.walDir,
-			Fsync:           cfg.walFsync,
-			Policy:          cfg.walPolicy,
-			SegmentBytes:    int64(cfg.walSegmentMB) << 20,
-			CheckpointEvery: cfg.walCkptEvery,
-			InjectFaults:    cfg.walFault,
-			FaultSeed:       cfg.walFaultSeed,
-		}
+	opt, err := cfg.options()
+	if err != nil {
+		return err
 	}
 	quiet := cfg.summary || cfg.snapshot > 0
 	if !quiet {
@@ -284,7 +295,6 @@ func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 		srv *http.Server
 		h   *monitorHandle
 		rs  *replState
-		err error
 	)
 	if cfg.replListen != "" {
 		rs = &replState{}
@@ -305,18 +315,15 @@ func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 
 	// m is the stream operator: a single *Monitor, or a *ShardedMonitor when
 	// -shards > 1. mon is the concrete monitor in single-engine mode, for the
-	// monitor-only surfaces (-checkpoint snapshots, the -summary metric
-	// mirror).
+	// monitor-only surfaces (-checkpoint snapshots, the -summary metrics
+	// block).
 	var (
 		m   pskyline.Operator
 		mon *pskyline.Monitor
 	)
 	if cfg.shards == 1 && cfg.ckpt != "" {
 		if f, ferr := os.Open(cfg.ckpt); ferr == nil {
-			mon, err = pskyline.RestoreMonitor(f, pskyline.RestoreOptions{
-				OnEnter: opt.OnEnter, OnLeave: opt.OnLeave,
-				AsyncQueue: cfg.async,
-			})
+			mon, err = pskyline.RestoreMonitor(f, opt)
 			f.Close()
 			if err != nil {
 				return fmt.Errorf("restore %s: %v", cfg.ckpt, err)
@@ -507,19 +514,11 @@ func runStreams(cfg config, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var base pskyline.Durability
-	if cfg.walDir != "" {
-		base = pskyline.Durability{
-			Dir:             cfg.walDir,
-			Fsync:           cfg.walFsync,
-			Policy:          cfg.walPolicy,
-			SegmentBytes:    int64(cfg.walSegmentMB) << 20,
-			CheckpointEvery: cfg.walCkptEvery,
-			InjectFaults:    cfg.walFault,
-			FaultSeed:       cfg.walFaultSeed,
-		}
+	opt, err := cfg.options()
+	if err != nil {
+		return err
 	}
-	reg := pskyline.NewStreamRegistry(base)
+	reg := pskyline.NewStreamRegistry(opt.Durability)
 	defer reg.CloseAll()
 	for _, sc := range specs {
 		op, err := reg.Open(sc)

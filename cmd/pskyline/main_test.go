@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestParseLine(t *testing.T) {
@@ -131,6 +132,38 @@ func TestRunCheckpointRoundTrip(t *testing.T) {
 	gc, gs := finalSizes(t, out2)
 	if wc != gc || ws != gs {
 		t.Fatalf("final sizes: uninterrupted cand=%d sky=%d, resumed cand=%d sky=%d", wc, ws, gc, gs)
+	}
+}
+
+// TestRunCheckpointResumeOptions: a -checkpoint resume builds its monitor
+// from the same flags as a fresh session — it keeps the latency settings —
+// and a resume whose -window or -q disagrees with the checkpoint fails with
+// an error naming the mismatch instead of running on with the file's.
+func TestRunCheckpointResumeOptions(t *testing.T) {
+	lines := genCSV(17, 2000)
+	cfg := config{
+		dims: 2, window: 500, thresholds: []float64{0.3}, batch: 1, summary: true,
+		slowThreshold: time.Nanosecond, latencyEpoch: 2 * time.Second,
+		ckpt: filepath.Join(t.TempDir(), "ck.gob"),
+	}
+	runSession(t, cfg, lines[:1000])
+	out := runSession(t, cfg, lines[1000:])
+	for _, want := range []string{"threshold=1ns", "recent 12s window"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("resumed -summary missing %q:\n%s", want, out)
+		}
+	}
+
+	badWin := cfg
+	badWin.window = 50
+	badQ := cfg
+	badQ.thresholds = []float64{0.9}
+	for want, bad := range map[string]config{"window": badWin, "thresholds": badQ} {
+		var stdout, stderr bytes.Buffer
+		err := run(bad, strings.NewReader(strings.Join(lines[:10], "\n")+"\n"), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("resume with a different %s: err = %v", want, err)
+		}
 	}
 }
 

@@ -175,27 +175,12 @@ func runReplica(cfg config, errw io.Writer) error {
 	if cfg.shards > 1 {
 		return fmt.Errorf("-replica-of replicates a single-engine stream: -shards must be 1")
 	}
-	opt := pskyline.Options{Dims: cfg.dims, Thresholds: cfg.thresholds}
-	opt.Latency = pskyline.LatencyOptions{
-		Epoch:         cfg.latencyEpoch,
-		SlowThreshold: cfg.slowThreshold,
-	}
-	if cfg.period > 0 {
-		opt.Period = cfg.period
-	} else {
-		opt.Window = cfg.window
+	opt, err := cfg.options()
+	if err != nil {
+		return err
 	}
 	prog := &pskyline.RecoveryProgress{}
-	opt.Durability = pskyline.Durability{
-		Dir:             cfg.walDir,
-		Fsync:           cfg.walFsync,
-		Policy:          cfg.walPolicy,
-		SegmentBytes:    int64(cfg.walSegmentMB) << 20,
-		CheckpointEvery: cfg.walCkptEvery,
-		InjectFaults:    cfg.walFault,
-		FaultSeed:       cfg.walFaultSeed,
-		Progress:        prog,
-	}
+	opt.Durability.Progress = prog
 
 	// The HTTP server comes up before the local recovery so probes see 503
 	// "recovering" (with replay progress) instead of connection refused.

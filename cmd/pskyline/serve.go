@@ -64,7 +64,7 @@ func (h *monitorHandle) ready(w http.ResponseWriter) (pskyline.Operator, bool) {
 
 // newServeMux builds the observability endpoint set over a live operator.
 // Every handler reads the lock-free export surfaces (the published view, the
-// atomic metric mirrors, the trace ring), so scraping — even aggressively —
+// atomic metrics, the trace ring), so scraping — even aggressively —
 // never blocks ingestion.
 //
 // rs carries the node's replication role (nil = standalone): /healthz
@@ -188,7 +188,7 @@ func addBuildinfo(mux *http.ServeMux) {
 }
 
 // operatorHealth builds the /healthz body for one operator. A single
-// *Monitor reports its full metric mirror (queue depth, WAL counters); a
+// *Monitor reports its full metrics (queue depth, WAL counters); a
 // sharded operator reports the merged stream position plus the worst
 // per-shard WAL state.
 func operatorHealth(m pskyline.Operator) map[string]any {

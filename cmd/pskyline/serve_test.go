@@ -36,7 +36,7 @@ func (b *syncBuf) String() string {
 func serveMonitor(t *testing.T) *pskyline.Monitor {
 	t.Helper()
 	m, err := pskyline.NewMonitor(pskyline.Options{
-		Dims: 2, Window: 200, Thresholds: []float64{0.3}, TraceDepth: 32,
+		Dims: 2, Window: 200, Thresholds: []float64{0.3},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"pskyline/internal/vfs"
@@ -175,12 +174,14 @@ type RecoveryInfo struct {
 // The caller must pass the same core Options (Dims, Window/Period,
 // Thresholds) on every Open of the same directory: the WAL logs only
 // elements, not configuration. A mismatch with a recovered checkpoint is
-// rejected; thresholds are compared as a set (order and duplicates do not
-// matter). AddThreshold and RemoveThreshold are not logged either: a
-// checkpoint records the threshold set current when it was taken, so a
-// directory whose thresholds changed reopens with that set, and Open must
-// be passed it rather than the original one. MaxEntries (the R-tree shape)
-// is taken from the checkpoint; the option applies to a fresh directory.
+// rejected, as RestoreMonitor rejects it, and is never a reason to fall
+// back to an older checkpoint; thresholds are compared as a set (order and
+// duplicates do not matter). AddThreshold and RemoveThreshold are not
+// logged either: a checkpoint records the threshold set current when it was
+// taken, so a directory whose thresholds changed reopens with that set, and
+// Open must be passed it rather than the original one. MaxEntries (the
+// R-tree shape) is taken from the checkpoint; the option applies to a fresh
+// directory.
 func Open(opt Options) (*Monitor, error) {
 	d := opt.Durability
 	if d.Dir == "" {
@@ -232,24 +233,20 @@ func Open(opt Options) (*Monitor, error) {
 		lastErr error
 	)
 	for _, ref := range refs {
-		m2, err := newMonitorBase(opt)
+		f, err := fsys.Open(ref.Path)
+		undecodable := err != nil
+		if err == nil {
+			m, undecodable, err = restoreChecked(f, opt)
+			f.Close()
+		}
+		if undecodable {
+			lastErr = err
+			rec.CheckpointsSkipped++
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
-		f, err := fsys.Open(ref.Path)
-		if err != nil {
-			lastErr = err
-			rec.CheckpointsSkipped++
-			continue
-		}
-		err = m2.restoreCore(f)
-		f.Close()
-		if err != nil {
-			lastErr = err
-			rec.CheckpointsSkipped++
-			continue
-		}
-		m = m2
 		rec.CheckpointSeq = ref.Seq
 		rec.Recovered = true
 		break
@@ -261,8 +258,6 @@ func Open(opt Options) (*Monitor, error) {
 		if m, err = newMonitorCore(opt); err != nil {
 			return nil, err
 		}
-	} else if err := m.checkConfig(opt); err != nil {
-		return nil, err
 	}
 
 	m.fsys = fsys
@@ -333,35 +328,6 @@ func Open(opt Options) (*Monitor, error) {
 	m.met.ckptSeqA.Store(rec.CheckpointSeq)
 	m.recovery = rec
 	return m.finish(), nil
-}
-
-// checkConfig verifies that the Options passed to Open agree with the
-// recovered checkpoint on everything the checkpoint fixes.
-func (m *Monitor) checkConfig(opt Options) error {
-	if opt.Dims != m.eng.Dims() {
-		return fmt.Errorf("pskyline: open: Options.Dims=%d but the recovered state has %d dimensions", opt.Dims, m.eng.Dims())
-	}
-	if opt.shard != nil {
-		// Shard engines run windowless; the logical count window is
-		// recorded in the checkpoint instead.
-		if opt.shard.window != m.snapShardWindow {
-			return fmt.Errorf("pskyline: open: shard window %d but the recovered state has window %d", opt.shard.window, m.snapShardWindow)
-		}
-	} else if opt.Window != m.eng.Window() {
-		return fmt.Errorf("pskyline: open: Options.Window=%d but the recovered state has window %d", opt.Window, m.eng.Window())
-	}
-	if opt.Period != m.period {
-		return fmt.Errorf("pskyline: open: Options.Period=%d but the recovered state has period %d", opt.Period, m.period)
-	}
-	// Compare thresholds as the engine normalizes them: sorted descending,
-	// duplicates dropped.
-	ths := slices.Clone(opt.Thresholds)
-	slices.Sort(ths)
-	slices.Reverse(ths)
-	if got := m.eng.Thresholds(); !slices.Equal(slices.Compact(ths), got) {
-		return fmt.Errorf("pskyline: open: Options.Thresholds=%v but the recovered state maintains thresholds %v", opt.Thresholds, got)
-	}
-	return nil
 }
 
 // Recovery returns what Open found and repaired (the zero RecoveryInfo for

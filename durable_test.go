@@ -314,7 +314,9 @@ func TestCheckpointCrashRecoveryDifferential(t *testing.T) {
 				t.Fatalf("recovered position %d, want %d", got, pos)
 			}
 
-			oracle, err := pskyline.RestoreMonitor(bytes.NewReader(ckptData), pskyline.RestoreOptions{})
+			plain := opt
+			plain.Durability = pskyline.Durability{}
+			oracle, err := pskyline.RestoreMonitor(bytes.NewReader(ckptData), plain)
 			if err != nil {
 				t.Fatalf("restore oracle: %v", err)
 			}
@@ -465,35 +467,37 @@ func TestKillRecoverSoak(t *testing.T) {
 // snapshot round-trips, while a wrong magic, an unknown format version and a
 // truncated header are each rejected with a telling error.
 func TestSnapshotHeaderVersioning(t *testing.T) {
-	m := mustMonitor(t, pskyline.Options{Dims: 2, Window: 32, Thresholds: []float64{0.3}})
+	opt := pskyline.Options{Dims: 2, Window: 32, Thresholds: []float64{0.3}}
+	m := mustMonitor(t, opt)
 	defer m.Close()
 	pushAll(t, m, durStream(5, 50, 2, 1))
 	good := snapshotBytes(t, m)
 
-	if _, err := pskyline.RestoreMonitor(bytes.NewReader(good), pskyline.RestoreOptions{}); err != nil {
+	if _, err := pskyline.RestoreMonitor(bytes.NewReader(good), opt); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
 
 	badMagic := append([]byte(nil), good...)
 	badMagic[0] ^= 0xff
-	if _, err := pskyline.RestoreMonitor(bytes.NewReader(badMagic), pskyline.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, err := pskyline.RestoreMonitor(bytes.NewReader(badMagic), opt); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic: err = %v, want a magic rejection", err)
 	}
 
 	future := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(future[8:], 99)
-	if _, err := pskyline.RestoreMonitor(bytes.NewReader(future), pskyline.RestoreOptions{}); err == nil || !strings.Contains(err.Error(), "version 99") {
+	if _, err := pskyline.RestoreMonitor(bytes.NewReader(future), opt); err == nil || !strings.Contains(err.Error(), "version 99") {
 		t.Fatalf("future version: err = %v, want a version rejection", err)
 	}
 
-	if _, err := pskyline.RestoreMonitor(bytes.NewReader(good[:7]), pskyline.RestoreOptions{}); err == nil {
+	if _, err := pskyline.RestoreMonitor(bytes.NewReader(good[:7]), opt); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 }
 
 // TestOpenConfigMismatch: the WAL logs elements, not configuration, so Open
 // must reject options that disagree with the recovered checkpoint instead of
-// silently reinterpreting the log.
+// silently reinterpreting the log — and RestoreMonitor of the same
+// checkpoint accepts and refuses exactly the same options.
 func TestOpenConfigMismatch(t *testing.T) {
 	dir := t.TempDir()
 	opt := durOpt(dir, "never", -1)
@@ -505,37 +509,88 @@ func TestOpenConfigMismatch(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+	ckpt, _ := newestCheckpointFile(t, dir)
 
-	badWin := opt
-	badWin.Window = 128
-	if _, err := pskyline.Open(badWin); err == nil || !strings.Contains(err.Error(), "window") {
-		t.Fatalf("window mismatch: err = %v", err)
+	for _, row := range []struct {
+		name    string
+		edit    func(*pskyline.Options)
+		wantErr string // "" when the options must be accepted
+	}{
+		{"window", func(o *pskyline.Options) { o.Window = 128 }, "window"},
+		{"dims", func(o *pskyline.Options) { o.Dims = 2 }, "dimensions"},
+		{"thresholds", func(o *pskyline.Options) { o.Thresholds = []float64{0.6} }, "thresholds"},
+		// Thresholds compare as the engine normalizes them: order and
+		// duplicates do not matter.
+		{"permuted thresholds", func(o *pskyline.Options) { o.Thresholds = []float64{0.3, 0.6, 0.3} }, ""},
+		{"matching", func(*pskyline.Options) {}, ""},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			o := opt
+			row.edit(&o)
+			plain := o
+			plain.Durability = pskyline.Durability{}
+			for name, build := range map[string]func() (*pskyline.Monitor, error){
+				"Open":           func() (*pskyline.Monitor, error) { return pskyline.Open(o) },
+				"RestoreMonitor": func() (*pskyline.Monitor, error) { return pskyline.RestoreMonitor(bytes.NewReader(ckpt), plain) },
+			} {
+				m, err := build()
+				if row.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), row.wantErr) {
+						t.Fatalf("%s: err = %v, want a %s mismatch", name, err, row.wantErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := m.Thresholds(); len(got) != 2 || got[0] != 0.6 || got[1] != 0.3 {
+					t.Errorf("%s: thresholds %v, want [0.6 0.3]", name, got)
+				}
+				if got := m.Stats().Processed; got != 40 {
+					t.Errorf("%s: position %d, want 40", name, got)
+				}
+				m.Close()
+			}
+		})
 	}
-	badDims := opt
-	badDims.Dims = 2
-	if _, err := pskyline.Open(badDims); err == nil || !strings.Contains(err.Error(), "dimensions") {
-		t.Fatalf("dims mismatch: err = %v", err)
+	// A durable directory is reopened with Open, not RestoreMonitor.
+	if _, err := pskyline.RestoreMonitor(bytes.NewReader(ckpt), opt); err == nil {
+		t.Error("RestoreMonitor accepted a Durability.Dir")
 	}
-	badQ := opt
-	badQ.Thresholds = []float64{0.6}
-	if _, err := pskyline.Open(badQ); err == nil || !strings.Contains(err.Error(), "thresholds") {
-		t.Fatalf("thresholds mismatch: err = %v", err)
-	}
-	// Thresholds compare as the engine normalizes them: order and
-	// duplicates do not matter.
-	sameQ := opt
-	sameQ.Thresholds = []float64{0.3, 0.6, 0.3}
-	m1 := mustOpen(t, sameQ)
-	if got := m1.Thresholds(); len(got) != 2 || got[0] != 0.6 || got[1] != 0.3 {
-		t.Fatalf("reopened thresholds %v", got)
-	}
-	m1.Close()
 
-	m2 := mustOpen(t, opt) // matching options still open fine
-	if got := m2.Stats().Processed; got != 40 {
-		t.Fatalf("recovered position %d, want 40", got)
-	}
-	m2.Close()
+	// A shard member's engine runs windowless — the logical window lives in
+	// the sharded front end — so its directory opened as a standalone
+	// monitor with neither Window nor Period must be refused, not run with
+	// no window at all.
+	t.Run("shard member without a window", func(t *testing.T) {
+		root := t.TempDir()
+		base := durOpt(root, "never", -1)
+		base.Dims = 2
+		sm, err := pskyline.NewSharded(pskyline.ShardedOptions{Options: base, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sm.PushBatch(durStream(8, 200, 2, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sm.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		member := filepath.Join(root, "shard-000")
+		ckpt, _ := newestCheckpointFile(t, member)
+		o := pskyline.Options{Dims: 2, Thresholds: base.Thresholds}
+		if _, err := pskyline.RestoreMonitor(bytes.NewReader(ckpt), o); err == nil {
+			t.Error("RestoreMonitor of a shard member's checkpoint without a window succeeded")
+		}
+		o.Durability = pskyline.Durability{Dir: member, Fsync: "never", CheckpointEvery: -1}
+		if m, err := pskyline.Open(o); err == nil {
+			m.Close()
+			t.Error("Open of a shard member's directory without a window succeeded")
+		}
+	})
 }
 
 // TestDurableNaNProbability: a NaN occurrence probability is rejected

@@ -27,8 +27,8 @@ type family struct {
 
 // series is one exported time series: exactly one of the value sources is
 // set. Function-backed sources let the registry export values that are
-// derived at scrape time (theory bounds, ages) or mirrored from non-atomic
-// state at publish time.
+// derived at scrape time (theory bounds, ages) or read from state published
+// elsewhere (a read view).
 type series struct {
 	labels  []Label
 	counter *Counter

@@ -47,28 +47,9 @@ type decodedSeg struct {
 // per-segment arenas. fn must still copy what it retains beyond the replay,
 // since arenas are released as the merge advances.
 func (w *WAL) ReplayParallel(from uint64, workers int, prog *ReplayProgress, fn func(Record) error) (uint64, error) {
-	w.mu.Lock()
-	if w.err != nil {
-		w.mu.Unlock()
-		return 0, w.err
-	}
-	if w.State() != StateDegraded {
-		if err := w.writePendingOnceLocked(); err != nil {
-			if err = w.failLocked("replay", err, opFlush); err != nil {
-				w.mu.Unlock()
-				return 0, err
-			}
-		}
-	}
-	w.segMetaLocked()
-	segs := append([]segmentInfo(nil), w.segs...)
-	w.mu.Unlock()
-
-	work := segs[:0]
-	for _, sg := range segs {
-		if sg.records > 0 && sg.lastSeq >= from {
-			work = append(work, sg)
-		}
+	work, err := w.replaySegments(from)
+	if err != nil {
+		return 0, err
 	}
 	if prog != nil {
 		prog.segTotal.Store(uint64(len(work)))
@@ -81,26 +62,7 @@ func (w *WAL) ReplayParallel(from uint64, workers int, prog *ReplayProgress, fn 
 	}
 	if workers <= 1 {
 		// One lane: stream records straight from the scanner, no buffering.
-		var n uint64
-		for _, sg := range work {
-			_, _, _, err := scanSegment(w.fs, sg.path, sg.firstSeq, w.opt.SparseSeq, func(rec Record) error {
-				if rec.Seq < from {
-					return nil
-				}
-				n++
-				if prog != nil {
-					prog.records.Add(1)
-				}
-				return fn(rec)
-			})
-			if prog != nil {
-				prog.segDone.Add(1)
-			}
-			if err != nil {
-				return n, err
-			}
-		}
-		return n, nil
+		return w.replaySerial(work, from, prog, fn)
 	}
 
 	results := make([]decodedSeg, len(work))

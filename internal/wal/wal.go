@@ -317,36 +317,59 @@ func sweepTmp(fsys vfs.FS, dir string) (int, error) {
 // Record aliases a scratch buffer; it must copy what it retains. Returns the
 // number of records delivered.
 func (w *WAL) Replay(from uint64, fn func(Record) error) (uint64, error) {
-	w.mu.Lock()
-	if w.err != nil {
-		w.mu.Unlock()
-		return 0, w.err
+	segs, err := w.replaySegments(from)
+	if err != nil {
+		return 0, err
 	}
-	// Flush so the files hold every append, and finalize the active
-	// segment's metadata so it is not skipped as empty.
+	return w.replaySerial(segs, from, nil, fn)
+}
+
+// replaySegments is the prologue of Replay and ReplayParallel: it flushes
+// pending appends so the files hold every one of them, finalizes the active
+// segment's metadata so it is not skipped as empty, and returns the
+// segments holding records at or past from.
+func (w *WAL) replaySegments(from uint64) ([]segmentInfo, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return nil, w.err
+	}
 	if w.State() != StateDegraded {
 		if err := w.writePendingOnceLocked(); err != nil {
 			if err = w.failLocked("replay", err, opFlush); err != nil {
-				w.mu.Unlock()
-				return 0, err
+				return nil, err
 			}
 		}
 	}
 	w.segMetaLocked()
-	segs := append([]segmentInfo(nil), w.segs...)
-	w.mu.Unlock()
+	var segs []segmentInfo
+	for _, sg := range w.segs {
+		if sg.records > 0 && sg.lastSeq >= from {
+			segs = append(segs, sg)
+		}
+	}
+	return segs, nil
+}
+
+// replaySerial streams the records of segs with sequence >= from to fn
+// straight from the scanner, one segment after the other. prog, when
+// non-nil, is updated live.
+func (w *WAL) replaySerial(segs []segmentInfo, from uint64, prog *ReplayProgress, fn func(Record) error) (uint64, error) {
 	var n uint64
 	for _, sg := range segs {
-		if sg.records == 0 || sg.lastSeq < from {
-			continue
-		}
 		_, _, _, err := scanSegment(w.fs, sg.path, sg.firstSeq, w.opt.SparseSeq, func(rec Record) error {
 			if rec.Seq < from {
 				return nil
 			}
 			n++
+			if prog != nil {
+				prog.records.Add(1)
+			}
 			return fn(rec)
 		})
+		if prog != nil {
+			prog.segDone.Add(1)
+		}
 		if err != nil {
 			return n, err
 		}

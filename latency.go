@@ -40,11 +40,6 @@ type LatencyOptions struct {
 	// the recent quantiles cover the last obs.NumEpochs epochs. 0 selects
 	// obs.DefaultEpoch (10s, i.e. a one-minute window).
 	Epoch time.Duration
-	// FlightDepth and SlowDepth size the flight recorder's recent and
-	// slow-latch rings (rounded up to powers of two; 0 selects
-	// obs.DefaultFlightDepth / obs.DefaultSlowDepth).
-	FlightDepth int
-	SlowDepth   int
 	// SlowThreshold is the admission-to-visibility latency at or above which
 	// a write's span is latched into the slow ring (0 selects
 	// obs.DefaultSlowThreshold).

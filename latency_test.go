@@ -256,7 +256,9 @@ func TestLatencyAfterRestore(t *testing.T) {
 	if reopened.Recovery().CheckpointSeq == 0 {
 		t.Fatalf("reopen did not restore the checkpoint: %+v", reopened.Recovery())
 	}
-	restored, err := pskyline.RestoreMonitor(bytes.NewReader(ckptBytes), pskyline.RestoreOptions{})
+	plain := opt
+	plain.Durability = pskyline.Durability{}
+	restored, err := pskyline.RestoreMonitor(bytes.NewReader(ckptBytes), plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,8 @@ func TestLatencyAfterRestore(t *testing.T) {
 	if restoredErr == nil || freshErr == nil || restoredErr.Error() != freshErr.Error() {
 		t.Errorf("AsyncQueue=-1: Open with a checkpoint returned %v, on a fresh directory %v", restoredErr, freshErr)
 	}
-	if _, err := pskyline.RestoreMonitor(bytes.NewReader(ckptBytes), pskyline.RestoreOptions{AsyncQueue: -1}); err == nil {
+	plain.AsyncQueue = -1
+	if _, err := pskyline.RestoreMonitor(bytes.NewReader(ckptBytes), plain); err == nil {
 		t.Error("AsyncQueue=-1: RestoreMonitor accepted it")
 	}
 }

@@ -13,11 +13,12 @@ import (
 )
 
 // monMetrics is the Monitor's observability block. The engine records the
-// stage histograms directly (atomic, allocation-free); everything that is
-// maintained as plain single-writer state inside the engine — sizes, work
-// counters, stream position — is mirrored into atomics once per view
-// publication, under the writer lock, so exporters and Metrics() read a
-// coherent recent state without ever taking m.mu.
+// stage histograms directly (atomic, allocation-free). Sizes, work counters
+// and the stream position are read from the published View, which carries
+// them; the few values the View lacks — window fill, the occurrence
+// probability sum and the publication stamp — are stored into atomics once
+// per view publication, under the writer lock, so exporters and Metrics()
+// read a coherent recent state without ever taking m.mu.
 type monMetrics struct {
 	eng core.Metrics // per-stage latency histograms, recorded by the engine
 
@@ -34,22 +35,8 @@ type monMetrics struct {
 	latApplied obs.WindowedHistogram
 	latVisible obs.WindowedHistogram
 
-	// Publish-time mirrors of engine state (single writer under m.mu).
-	processed    atomic.Uint64
-	pushes       atomic.Uint64
-	expiries     atomic.Uint64
-	nodesVisited atomic.Uint64
-	itemsTouched atomic.Uint64
-	lazyApplied  atomic.Uint64
-	removals     atomic.Uint64
-	moves        atomic.Uint64
-
-	candidates    atomic.Uint64
-	skyline       atomic.Uint64
-	maxCandidates atomic.Uint64
-	maxSkyline    atomic.Uint64
+	// Publish-time state the View does not carry (single writer under m.mu).
 	windowFill    atomic.Uint64
-
 	probSumBits   atomic.Uint64 // float64 bits: Σ occurrence prob of pushed elements
 	probCount     atomic.Uint64
 	lastPublishNs atomic.Int64
@@ -67,22 +54,9 @@ type monMetrics struct {
 	qDrops obs.Counter
 }
 
-// mirrorLocked copies the engine's single-writer state into the atomic
-// mirrors and stamps the publication. Callers hold m.mu.
-func (mm *monMetrics) mirrorLocked(eng *core.Engine, probSum float64, probCount uint64) {
-	c := eng.Counters()
-	mm.processed.Store(eng.Processed())
-	mm.pushes.Store(c.Pushes)
-	mm.expiries.Store(c.Expiries)
-	mm.nodesVisited.Store(c.NodesVisited)
-	mm.itemsTouched.Store(c.ItemsTouched)
-	mm.lazyApplied.Store(c.LazyApplied)
-	mm.removals.Store(c.Removals)
-	mm.moves.Store(c.Moves)
-	mm.candidates.Store(uint64(eng.CandidateSize()))
-	mm.skyline.Store(uint64(eng.SkylineSize()))
-	mm.maxCandidates.Store(uint64(eng.MaxCandidateSize()))
-	mm.maxSkyline.Store(uint64(eng.MaxSkylineSize()))
+// publishedLocked stores what the View lacks — window fill and the
+// probability sum — and stamps the publication. Callers hold m.mu.
+func (mm *monMetrics) publishedLocked(eng *core.Engine, probSum float64, probCount uint64) {
 	mm.windowFill.Store(uint64(eng.InWindow()))
 	mm.probSumBits.Store(math.Float64bits(probSum))
 	mm.probCount.Store(probCount)
@@ -132,26 +106,30 @@ func (m *Monitor) buildRegistry() {
 	hist := func(name, help string, h *obs.Histogram, extra ...obs.Label) {
 		r.RegisterHistogram(name, help, h, lbl(extra...)...)
 	}
-	u := func(v *atomic.Uint64) func() float64 {
-		return func() float64 { return float64(v.Load()) }
+	// Work counters and sizes come from the published view.
+	work := func(f func(core.Counters) uint64) func() float64 {
+		return func() float64 { return float64(f(m.view.Load().counters)) }
+	}
+	size := func(f func(Stats) int) func() float64 {
+		return func() float64 { return float64(f(m.view.Load().stats)) }
 	}
 
-	counterFn("pskyline_pushes_total", "Stream elements ingested.", u(&mm.pushes))
-	counterFn("pskyline_expiries_total", "Candidate elements expired out of the window.", u(&mm.expiries))
-	counterFn("pskyline_nodes_visited_total", "R-tree entries classified during probes and update traversals.", u(&mm.nodesVisited))
-	counterFn("pskyline_items_touched_total", "Elements examined or mutated individually.", u(&mm.itemsTouched))
-	counterFn("pskyline_lazy_applied_total", "Entry-level lazy multiplications covering whole subtrees.", u(&mm.lazyApplied))
-	counterFn("pskyline_candidate_removals_total", "Elements dropped from the candidate set before expiry.", u(&mm.removals))
-	counterFn("pskyline_band_moves_total", "Element reclassifications between threshold bands.", u(&mm.moves))
+	counterFn("pskyline_pushes_total", "Stream elements ingested.", work(func(c core.Counters) uint64 { return c.Pushes }))
+	counterFn("pskyline_expiries_total", "Candidate elements expired out of the window.", work(func(c core.Counters) uint64 { return c.Expiries }))
+	counterFn("pskyline_nodes_visited_total", "R-tree entries classified during probes and update traversals.", work(func(c core.Counters) uint64 { return c.NodesVisited }))
+	counterFn("pskyline_items_touched_total", "Elements examined or mutated individually.", work(func(c core.Counters) uint64 { return c.ItemsTouched }))
+	counterFn("pskyline_lazy_applied_total", "Entry-level lazy multiplications covering whole subtrees.", work(func(c core.Counters) uint64 { return c.LazyApplied }))
+	counterFn("pskyline_candidate_removals_total", "Elements dropped from the candidate set before expiry.", work(func(c core.Counters) uint64 { return c.Removals }))
+	counterFn("pskyline_band_moves_total", "Element reclassifications between threshold bands.", work(func(c core.Counters) uint64 { return c.Moves }))
 	counter("pskyline_skyline_enters_total", "Elements entering the q_1-skyline.", &mm.enters)
 	counter("pskyline_skyline_leaves_total", "Elements leaving the q_1-skyline.", &mm.leaves)
 	counter("pskyline_view_publishes_total", "Read view publications.", &mm.publishes)
 
-	gaugeFn("pskyline_candidates", "Current candidate set size |S_{N,q_k}|.", u(&mm.candidates))
-	gaugeFn("pskyline_skyline_size", "Current q_1-skyline size |SKY_{N,q_1}|.", u(&mm.skyline))
-	gaugeFn("pskyline_candidates_max", "Maximum candidate set size observed.", u(&mm.maxCandidates))
-	gaugeFn("pskyline_skyline_max", "Maximum q_1-skyline size observed.", u(&mm.maxSkyline))
-	gaugeFn("pskyline_window_fill", "Stream elements currently inside the sliding window.", u(&mm.windowFill))
+	gaugeFn("pskyline_candidates", "Current candidate set size |S_{N,q_k}|.", size(func(s Stats) int { return s.Candidates }))
+	gaugeFn("pskyline_skyline_size", "Current q_1-skyline size |SKY_{N,q_1}|.", size(func(s Stats) int { return s.Skyline }))
+	gaugeFn("pskyline_candidates_max", "Maximum candidate set size observed.", size(func(s Stats) int { return s.MaxCandidates }))
+	gaugeFn("pskyline_skyline_max", "Maximum q_1-skyline size observed.", size(func(s Stats) int { return s.MaxSkyline }))
+	gaugeFn("pskyline_window_fill", "Stream elements currently inside the sliding window.", func() float64 { return float64(mm.windowFill.Load()) })
 	gaugeFn("pskyline_mean_occurrence_prob", "Mean occurrence probability of pushed elements.", mm.meanProb)
 	gaugeFn("pskyline_publish_age_seconds", "Seconds since the last view publication.", func() float64 {
 		last := mm.lastPublishNs.Load()

@@ -78,9 +78,9 @@ func TestMonitorMetricsSnapshot(t *testing.T) {
 // TestTraceRing checks the bounded structured trace: depth, ordering,
 // direction flags and payload sanity, including after the ring wraps.
 func TestTraceRing(t *testing.T) {
-	const depth = 8
+	const depth = 256 // the trace ring's fixed capacity
 	m := mustMonitor(t, pskyline.Options{
-		Dims: 2, Window: 128, Thresholds: []float64{0.3}, TraceDepth: depth,
+		Dims: 2, Window: 128, Thresholds: []float64{0.3},
 	})
 	defer m.Close()
 	for _, e := range genElements(23, 2000, 2, true) {

@@ -87,8 +87,9 @@ type SkyPoint struct {
 	Data any
 }
 
-// Options configures a Monitor. Exactly one of Window and Period must be
-// positive.
+// Options configures a Monitor, whichever way it is built: NewMonitor, Open
+// and RestoreMonitor take the same Options and check them by the same rules.
+// Exactly one of Window and Period must be positive.
 type Options struct {
 	// Dims is the dimensionality of the data space (≥ 1).
 	Dims int
@@ -120,12 +121,6 @@ type Options struct {
 	TopK     int
 	TopKMinQ float64
 	OnTopK   func([]SkyPoint)
-
-	// TraceDepth is the capacity of the structured trace ring: the last
-	// TraceDepth q_1-skyline transitions are kept for Trace() and the
-	// /debug/skyline endpoint (rounded up to a power of two; 0 selects
-	// DefaultTraceDepth).
-	TraceDepth int
 
 	// AsyncQueue, when positive, decouples producers from ingestion: Push
 	// and PushBatch validate the elements, enqueue them on a bounded
@@ -204,7 +199,7 @@ type Monitor struct {
 	ops []writeOp // synchronous write scratch, guarded by mu
 
 	// Observability: the metrics block (stage histograms recorded by the
-	// engine, mirrors refreshed at publish), the lock-free skyline trace
+	// engine, atomics refreshed at publish), the lock-free skyline trace
 	// ring, the export registry, and the occurrence-probability running sum
 	// behind the theory-bound gauges (plain fields, guarded by mu).
 	met       monMetrics
@@ -272,18 +267,6 @@ func NewMonitor(opt Options) (*Monitor, error) {
 // starting background goroutines (the recovery path replays the WAL tail in
 // between).
 func newMonitorCore(opt Options) (*Monitor, error) {
-	if opt.shard != nil {
-		// A shard member holds one slice of a globally numbered stream:
-		// the logical count window lives in the shard config (the engine
-		// runs windowless and expires by explicit sequence/timestamp
-		// watermarks), and the front end validated the window/period
-		// exclusivity already.
-		if (opt.shard.window > 0) == (opt.Period > 0) || opt.Window != 0 {
-			return nil, errors.New("pskyline: internal: malformed shard member configuration")
-		}
-	} else if (opt.Window > 0) == (opt.Period > 0) {
-		return nil, errors.New("pskyline: exactly one of Window and Period must be positive")
-	}
 	m, err := newMonitorBase(opt)
 	if err != nil {
 		return nil, err
@@ -308,12 +291,24 @@ func newMonitorCore(opt Options) (*Monitor, error) {
 	return m, nil
 }
 
-// newMonitorBase checks the async options and returns a monitor carrying
-// opt with what every construction path sets up the same way: the payload
-// map, the skyline trace ring and the latency instrumentation (windowed
-// histograms, flight recorder, shard label). newMonitorCore gives it a
-// fresh engine; restoreCore a checkpointed one.
+// newMonitorBase checks the window and async options and returns a monitor
+// carrying opt with what every construction path sets up the same way: the
+// payload map, the skyline trace ring and the latency instrumentation
+// (windowed histograms, flight recorder, shard label). newMonitorCore gives
+// it a fresh engine; restoreChecked a checkpointed one.
 func newMonitorBase(opt Options) (*Monitor, error) {
+	if opt.shard != nil {
+		// A shard member holds one slice of a globally numbered stream:
+		// the logical count window lives in the shard config (the engine
+		// runs windowless and expires by explicit sequence/timestamp
+		// watermarks), and the front end validated the window/period
+		// exclusivity already.
+		if (opt.shard.window > 0) == (opt.Period > 0) || opt.Window != 0 {
+			return nil, errors.New("pskyline: internal: malformed shard member configuration")
+		}
+	} else if (opt.Window > 0) == (opt.Period > 0) {
+		return nil, errors.New("pskyline: exactly one of Window and Period must be positive")
+	}
 	if opt.AsyncQueue < 0 {
 		return nil, errors.New("pskyline: AsyncQueue must be >= 0")
 	}
@@ -325,8 +320,8 @@ func newMonitorBase(opt Options) (*Monitor, error) {
 		data:     make(map[uint64]any),
 		period:   opt.Period,
 		opts:     opt,
-		trace:    newTraceRing(opt.TraceDepth),
-		flight:   obs.NewFlightRecorder(lo.FlightDepth, lo.SlowDepth, lo.SlowThreshold),
+		trace:    newTraceRing(traceDepth),
+		flight:   obs.NewFlightRecorder(obs.DefaultFlightDepth, obs.DefaultSlowDepth, lo.SlowThreshold),
 		shardIdx: -1,
 	}
 	if sh := opt.shard; sh != nil {
@@ -659,7 +654,7 @@ func (m *Monitor) publishLocked() {
 			bands[i] = prev.bands[i]
 			continue
 		}
-		bands[i] = m.extractBandLocked(i)
+		bands[i] = m.results(m.eng.BandResults(i))
 	}
 	m.lastGens = gens
 	m.view.Store(&View{
@@ -675,27 +670,11 @@ func (m *Monitor) publishLocked() {
 		},
 		counters: m.eng.Counters(),
 	})
-	m.met.mirrorLocked(m.eng, m.probSum, m.probCount)
+	m.met.publishedLocked(m.eng, m.probSum, m.probCount)
 }
 
-// extractBandLocked copies threshold band i out of the engine, attaching
-// payloads. Callers hold m.mu.
-func (m *Monitor) extractBandLocked(i int) []SkyPoint {
-	rs := m.eng.BandResults(i)
-	out := make([]SkyPoint, len(rs))
-	for j, r := range rs {
-		out[j] = SkyPoint{
-			Seq:   r.Seq,
-			Point: r.Point,
-			Prob:  r.P,
-			Psky:  r.Psky,
-			TS:    r.TS,
-			Data:  m.data[r.Seq],
-		}
-	}
-	return out
-}
-
+// results converts engine results to SkyPoints, attaching payloads. Callers
+// hold m.mu.
 func (m *Monitor) results(rs []core.Result) []SkyPoint {
 	out := make([]SkyPoint, len(rs))
 	for i, r := range rs {

@@ -311,7 +311,8 @@ func TestDynamicThresholdsAndCounters(t *testing.T) {
 
 // TestRestoreWithTopK re-enables continuous top-k tracking at restore.
 func TestRestoreWithTopK(t *testing.T) {
-	m := mustMonitor(t, pskyline.Options{Dims: 2, Window: 30, Thresholds: []float64{0.3}})
+	opt := pskyline.Options{Dims: 2, Window: 30, Thresholds: []float64{0.3}}
+	m := mustMonitor(t, opt)
 	r := rand.New(rand.NewSource(25))
 	for i := 0; i < 120; i++ {
 		m.Push(pskyline.Element{Point: []float64{r.Float64(), r.Float64()}, Prob: 1 - r.Float64()})
@@ -321,10 +322,9 @@ func TestRestoreWithTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := 0
-	restored, err := pskyline.RestoreMonitor(&buf, pskyline.RestoreOptions{
-		TopK:   3,
-		OnTopK: func([]pskyline.SkyPoint) { fired++ },
-	})
+	opt.TopK = 3
+	opt.OnTopK = func([]pskyline.SkyPoint) { fired++ }
+	restored, err := pskyline.RestoreMonitor(&buf, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,28 +46,20 @@ func rendezvous(key uint64, shards int) int {
 	return best
 }
 
+// gridCellMask keeps a float64's sign, exponent and top 6 mantissa bits:
+// GridRouter's cell is one 2^-6 slice of a binade.
+const gridCellMask = math.MaxUint64 &^ (1<<(52-6) - 1)
+
 // GridRouter is the default Router: it quantizes each coordinate into a
-// scale-free cell (sign, exponent and the top MantissaBits mantissa bits of
-// the float64 — so cell size adapts to the data's magnitude without any
+// scale-free cell (sign, exponent and the top 6 mantissa bits of the
+// float64 — so cell size adapts to the data's magnitude without any
 // configuration), folds the cells into one key and places the key with
 // rendezvous hashing. Nearby points tend to share cells, which keeps a
 // shard's dominator factors shard-local and its candidate set small.
-type GridRouter struct {
-	// MantissaBits is the number of leading mantissa bits kept per
-	// coordinate (1..52); 0 selects 6.
-	MantissaBits uint
-}
+type GridRouter struct{}
 
 // Route implements Router.
-func (g GridRouter) Route(pt []float64, prob float64, shards int) int {
-	mb := g.MantissaBits
-	if mb == 0 {
-		mb = 6
-	}
-	if mb > 52 {
-		mb = 52
-	}
-	mask := ^uint64(0) << (52 - mb)
+func (GridRouter) Route(pt []float64, prob float64, shards int) int {
 	var key uint64
 	for _, c := range pt {
 		bits := math.Float64bits(c)
@@ -77,32 +69,26 @@ func (g GridRouter) Route(pt []float64, prob float64, shards int) int {
 		if math.IsNaN(c) {
 			bits = math.Float64bits(math.NaN()) // canonical NaN payload
 		}
-		// Keep sign and exponent whole, truncate the mantissa: one cell
-		// per 2^-mb slice of each binade.
-		bits &= (uint64(0xFFF) << 52) | mask
+		bits &= gridCellMask
 		key = splitmix64(key ^ splitmix64(bits))
 	}
 	return rendezvous(key, shards)
 }
 
+// probBands is the number of equal-width probability bins BandRouter places.
+const probBands = 64
+
 // BandRouter partitions by occurrence probability instead of location:
-// element probabilities are quantized into Bands equal-width bins and each
-// bin is placed with rendezvous hashing. Useful when locations are adversarial
+// element probabilities are quantized into 64 equal-width bins and each bin
+// is placed with rendezvous hashing. Useful when locations are adversarial
 // for grid cells but the probability mix is diverse.
-type BandRouter struct {
-	// Bands is the number of probability bins (0 selects 64).
-	Bands int
-}
+type BandRouter struct{}
 
 // Route implements Router.
-func (b BandRouter) Route(pt []float64, prob float64, shards int) int {
-	n := b.Bands
-	if n <= 0 {
-		n = 64
-	}
-	cell := int(prob * float64(n))
-	if cell >= n {
-		cell = n - 1
+func (BandRouter) Route(pt []float64, prob float64, shards int) int {
+	cell := int(prob * probBands)
+	if cell >= probBands {
+		cell = probBands - 1
 	}
 	if cell < 0 || prob != prob {
 		cell = 0

@@ -22,9 +22,7 @@ func FuzzShardRoute(f *testing.F) {
 		pt := []float64{x, y, z}
 		routers := []pskyline.Router{
 			pskyline.GridRouter{},
-			pskyline.GridRouter{MantissaBits: 12},
 			pskyline.BandRouter{},
-			pskyline.BandRouter{Bands: 8},
 		}
 		for _, r := range routers {
 			got := r.Route(pt, p, shards)

@@ -189,7 +189,7 @@ func TestShardedBandRouterDifferential(t *testing.T) {
 	feed(t, oracle, els, "sync")
 
 	s, err := pskyline.NewSharded(pskyline.ShardedOptions{
-		Options: opt, Shards: 4, Router: pskyline.BandRouter{Bands: 16},
+		Options: opt, Shards: 4, Router: pskyline.BandRouter{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"pskyline/internal/core"
 )
@@ -50,7 +51,7 @@ type monitorSnapshot struct {
 // state, statistics and element payloads. Payload values are encoded with
 // encoding/gob — custom payload types must be registered with gob.Register
 // before snapshotting and restoring. Callbacks are configuration, not state;
-// re-supply them to RestoreMonitor.
+// re-supply them in the Options passed to RestoreMonitor.
 //
 // Snapshot captures the ingested state: with an async queue, elements still
 // sitting in the queue are NOT part of the checkpoint even though their
@@ -104,44 +105,49 @@ func readSnapshotHeader(r io.Reader) error {
 	return nil
 }
 
-// RestoreOptions re-attaches configuration that is not part of a
-// checkpoint: callbacks and continuous top-k tracking.
-type RestoreOptions struct {
-	OnEnter func(SkyPoint)
-	OnLeave func(SkyPoint)
-	// TopK, TopKMinQ and OnTopK re-enable continuous top-k monitoring, as
-	// in Options.
-	TopK     int
-	TopKMinQ float64
-	OnTopK   func([]SkyPoint)
-	// AsyncQueue re-enables the bounded async ingestion queue, as in
-	// Options.
-	AsyncQueue int
-	// TraceDepth sizes the restored monitor's trace ring, as in Options.
-	// The ring starts empty: transitions are recorded from the next Push.
-	TraceDepth int
-}
-
 // RestoreMonitor reads a checkpoint written by Snapshot and returns a
-// monitor that continues exactly where the snapshotted one stopped.
-func RestoreMonitor(r io.Reader, ro RestoreOptions) (*Monitor, error) {
-	m, err := newMonitorBase(Options{
-		OnEnter: ro.OnEnter, OnLeave: ro.OnLeave,
-		TopK: ro.TopK, TopKMinQ: ro.TopKMinQ, OnTopK: ro.OnTopK,
-		AsyncQueue: ro.AsyncQueue, TraceDepth: ro.TraceDepth,
-	})
-	if err != nil {
-		return nil, err
+// monitor that continues exactly where the snapshotted one stopped. opt is
+// checked against the checkpoint exactly as Open checks it: Dims, Window or
+// Period and the thresholds (as a set) must be those of the snapshotted
+// monitor, and MaxEntries is taken from the checkpoint. The rest of opt —
+// callbacks, continuous top-k, the async queue, latency tracking —
+// configures the restored monitor. A durable monitor is reopened with Open,
+// so opt.Durability.Dir must be empty.
+func RestoreMonitor(r io.Reader, opt Options) (*Monitor, error) {
+	if opt.Durability.Dir != "" {
+		return nil, errors.New("pskyline: RestoreMonitor does not take Durability.Dir: reopen a durable directory with Open")
 	}
-	if err := m.restoreCore(r); err != nil {
+	m, _, err := restoreChecked(r, opt)
+	if err != nil {
 		return nil, err
 	}
 	return m.finish(), nil
 }
 
+// restoreChecked is the checkpoint step Open and RestoreMonitor share: a
+// monitor built from opt takes the state decoded from r, and opt is then
+// checked against everything the checkpoint fixes. It neither publishes a
+// view nor starts goroutines — Open replays the WAL tail first. undecodable
+// reports that r did not decode, the one failure after which Open tries an
+// older checkpoint; a bad option or a configuration mismatch is final.
+func restoreChecked(r io.Reader, opt Options) (m *Monitor, undecodable bool, err error) {
+	if m, err = newMonitorBase(opt); err != nil {
+		return nil, false, err
+	}
+	if err = m.restoreCore(r); err != nil {
+		return nil, true, err
+	}
+	if err = m.checkConfig(opt); err != nil {
+		return nil, false, err
+	}
+	if err = m.initTopK(); err != nil {
+		return nil, false, fmt.Errorf("pskyline: %w", err)
+	}
+	return m, false, nil
+}
+
 // restoreCore decodes a checkpoint into m, a monitor fresh from
-// newMonitorBase, without publishing a view or starting background
-// goroutines — the recovery path replays the WAL tail first.
+// newMonitorBase.
 func (m *Monitor) restoreCore(r io.Reader) error {
 	if err := readSnapshotHeader(r); err != nil {
 		return err
@@ -166,9 +172,36 @@ func (m *Monitor) restoreCore(r io.Reader) error {
 		return fmt.Errorf("pskyline: restore: %w", err)
 	}
 	m.eng = eng
-	if err := m.initTopK(); err != nil {
-		return fmt.Errorf("pskyline: restore: %w", err)
-	}
 	m.dims = eng.Dims()
+	return nil
+}
+
+// checkConfig verifies that opt agrees with the restored checkpoint on
+// everything the checkpoint fixes: the dimensionality, the window and the
+// threshold set.
+func (m *Monitor) checkConfig(opt Options) error {
+	if opt.Dims != m.eng.Dims() {
+		return fmt.Errorf("pskyline: Options.Dims=%d but the checkpoint has %d dimensions", opt.Dims, m.eng.Dims())
+	}
+	if opt.shard != nil {
+		// Shard engines run windowless; the logical count window is
+		// recorded in the checkpoint instead.
+		if opt.shard.window != m.snapShardWindow {
+			return fmt.Errorf("pskyline: shard window %d but the checkpoint has window %d", opt.shard.window, m.snapShardWindow)
+		}
+	} else if opt.Window != m.eng.Window() {
+		return fmt.Errorf("pskyline: Options.Window=%d but the checkpoint has window %d", opt.Window, m.eng.Window())
+	}
+	if opt.Period != m.period {
+		return fmt.Errorf("pskyline: Options.Period=%d but the checkpoint has period %d", opt.Period, m.period)
+	}
+	// Compare thresholds as the engine normalizes them: sorted descending,
+	// duplicates dropped.
+	ths := slices.Clone(opt.Thresholds)
+	slices.Sort(ths)
+	slices.Reverse(ths)
+	if got := m.eng.Thresholds(); !slices.Equal(slices.Compact(ths), got) {
+		return fmt.Errorf("pskyline: Options.Thresholds=%v but the checkpoint maintains thresholds %v", opt.Thresholds, got)
+	}
 	return nil
 }

@@ -12,7 +12,8 @@ import (
 // stream and verifies the restored monitor continues identically, payloads
 // included.
 func TestMonitorSnapshotRoundTrip(t *testing.T) {
-	m := mustMonitor(t, pskyline.Options{Dims: 2, Window: 60, Thresholds: []float64{0.3}})
+	opt := pskyline.Options{Dims: 2, Window: 60, Thresholds: []float64{0.3}}
+	m := mustMonitor(t, opt)
 	r := rand.New(rand.NewSource(9))
 	push := func(mm *pskyline.Monitor, i int) {
 		_, err := mm.Push(pskyline.Element{
@@ -33,9 +34,8 @@ func TestMonitorSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	entered := 0
-	restored, err := pskyline.RestoreMonitor(&buf, pskyline.RestoreOptions{
-		OnEnter: func(pskyline.SkyPoint) { entered++ },
-	})
+	opt.OnEnter = func(pskyline.SkyPoint) { entered++ }
+	restored, err := pskyline.RestoreMonitor(&buf, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,8 @@ func TestMonitorSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestRestoreMonitorGarbage(t *testing.T) {
-	if _, err := pskyline.RestoreMonitor(bytes.NewReader(nil), pskyline.RestoreOptions{}); err == nil {
+	opt := pskyline.Options{Dims: 2, Window: 60, Thresholds: []float64{0.3}}
+	if _, err := pskyline.RestoreMonitor(bytes.NewReader(nil), opt); err == nil {
 		t.Fatal("empty restore accepted")
 	}
 }

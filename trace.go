@@ -7,9 +7,9 @@ import (
 	"pskyline/internal/obs"
 )
 
-// DefaultTraceDepth is the trace ring capacity used when Options.TraceDepth
-// is zero.
-const DefaultTraceDepth = 256
+// traceDepth is the trace ring's capacity: Trace returns at most the last
+// traceDepth q_1-skyline transitions.
+const traceDepth = 256
 
 // traceMaxDims bounds the coordinates stored per trace record; points with
 // more dimensions are truncated in the trace (the authoritative coordinates
@@ -52,12 +52,8 @@ type TraceEvent struct {
 // and up to traceMaxDims coordinates.
 const traceWords = 8 + traceMaxDims
 
-// newTraceRing returns a ring holding the last `depth` transitions (0
-// selects DefaultTraceDepth).
+// newTraceRing returns a ring holding the last `depth` transitions.
 func newTraceRing(depth int) *obs.Ring[TraceEvent] {
-	if depth <= 0 {
-		depth = DefaultTraceDepth
-	}
 	return obs.NewRing(depth, traceWords, encodeTrace, decodeTrace)
 }
 
@@ -97,11 +93,10 @@ func decodeTrace(w []uint64) TraceEvent {
 	return ev
 }
 
-// Trace returns the most recent skyline transitions, oldest first, up to
-// the configured trace depth. It reads the lock-free trace ring: it never
-// blocks ingestion and may be called from any goroutine. Transitions being
-// overwritten at the instant of the call are omitted rather than returned
-// torn.
+// Trace returns the most recent skyline transitions, oldest first, at most
+// 256 of them. It reads the lock-free trace ring: it never blocks ingestion
+// and may be called from any goroutine. Transitions being overwritten at the
+// instant of the call are omitted rather than returned torn.
 func (m *Monitor) Trace() []TraceEvent {
 	return m.trace.Collect()
 }
