@@ -75,7 +75,7 @@ shard-smoke:
 	bash scripts/shard_smoke.sh
 
 # Recovery-reopen benchmark smoke: seeds a durable window, reopens it via the
-# parallel-decode + STR bulk-load path, and asserts the row completes.
+# STR bulk-load path, and asserts the row completes.
 bench-recovery:
 	bash scripts/recovery_smoke.sh
 

@@ -145,7 +145,8 @@ type RecoveryInfo struct {
 	SegmentsDropped int
 	// TornSegments counts segments cut at a plain torn tail (the expected
 	// crash signature); CorruptSegments counts segments cut at actual
-	// corruption (bad length, checksum, decode or sequence).
+	// corruption (bad length, checksum or decode). A valid record out of
+	// sequence order is not cut: Open refuses the directory instead.
 	TornSegments    int
 	CorruptSegments int
 	// CheckpointsSkipped counts newer checkpoints that failed to decode and
@@ -165,11 +166,11 @@ type RecoveryInfo struct {
 // through the exact ingestion path used live, so the recovered state is
 // byte-identical to the state the uninterrupted monitor had after its last
 // committed push. Checkpointed band trees are rebuilt bottom-up with STR
-// bulk loading and log segments are decoded by GOMAXPROCS parallel workers
-// (records are still re-ingested in exact log order), so reopening a large
-// window costs seconds, not minutes. Recovery suppresses
-// OnEnter/OnLeave/OnTopK callbacks — the transitions were already reported
-// before the crash.
+// bulk loading, so reopening a large window from its checkpoint costs
+// seconds, not minutes; the log tail is read by one serial replay, since
+// re-applying its records in log order, not decoding them, is what the tail
+// costs. Recovery suppresses OnEnter/OnLeave/OnTopK callbacks — the
+// transitions were already reported before the crash.
 //
 // The caller must pass the same core Options (Dims, Window/Period,
 // Thresholds) on every Open of the same directory: the WAL logs only
@@ -181,7 +182,10 @@ type RecoveryInfo struct {
 // taken, so a directory whose thresholds changed reopens with that set, and
 // Open must be passed it rather than the original one. MaxEntries (the
 // R-tree shape) is taken from the checkpoint; the option applies to a fresh
-// directory.
+// directory. A sharded stream's member directory (<dir>/shard-NNN) opened
+// as a standalone monitor is refused without touching any file: its log
+// skips the other shards' sequences, and a valid record out of sequence
+// order is an error, never a torn tail to truncate.
 func Open(opt Options) (*Monitor, error) {
 	d := opt.Durability
 	if d.Dir == "" {
@@ -299,7 +303,7 @@ func Open(opt Options) (*Monitor, error) {
 	if d.Progress != nil {
 		wp = &d.Progress.p
 	}
-	replayed, rerr := w.ReplayParallel(m.eng.NextSeq(), 0, wp, func(r wal.Record) error {
+	replayed, rerr := w.Replay(m.eng.NextSeq(), wp, func(r wal.Record) error {
 		want := m.eng.NextSeq()
 		if m.opts.shard != nil {
 			if r.Seq < want {
@@ -324,7 +328,6 @@ func Open(opt Options) (*Monitor, error) {
 	w.AlignTo(m.eng.NextSeq())
 	m.wal = w
 	m.dur = d
-	m.ckptSeq = rec.CheckpointSeq
 	m.met.ckptSeqA.Store(rec.CheckpointSeq)
 	m.recovery = rec
 	return m.finish(), nil
@@ -388,15 +391,11 @@ func (m *Monitor) tryReattachLocked() {
 	if m.closed || m.wal.State() != wal.StateDegraded {
 		return
 	}
-	seq := m.eng.NextSeq()
-	if _, err := wal.WriteCheckpoint(m.fsys, m.dur.Dir, seq, m.snapshotLocked); err != nil {
+	seq, err := m.installCheckpointLocked()
+	if err != nil {
 		m.met.ckptFails.Inc()
 		return
 	}
-	m.ckptSeq = seq
-	m.ckptSince = 0
-	m.met.ckpts.Inc()
-	m.met.ckptSeqA.Store(seq)
 	if err := m.wal.Reattach(seq); err != nil {
 		return
 	}
@@ -488,19 +487,29 @@ func (m *Monitor) maybeCheckpointLocked(n int) {
 	}
 }
 
+// installCheckpointLocked writes a checkpoint at the current stream position
+// and restarts the checkpoint cadence, returning the position. Callers hold
+// m.mu.
+func (m *Monitor) installCheckpointLocked() (uint64, error) {
+	seq := m.eng.NextSeq()
+	if _, err := wal.WriteCheckpoint(m.fsys, m.dur.Dir, seq, m.snapshotLocked); err != nil {
+		return 0, err
+	}
+	m.ckptSince = 0
+	m.met.ckpts.Inc()
+	m.met.ckptSeqA.Store(seq)
+	return seq, nil
+}
+
 // checkpointLocked installs a checkpoint at the current stream position,
 // then garbage-collects: log segments strictly behind both the checkpoint
 // and the window horizon, and checkpoints older than the new one. Callers
 // hold m.mu.
 func (m *Monitor) checkpointLocked() error {
-	seq := m.eng.NextSeq()
-	if _, err := wal.WriteCheckpoint(m.fsys, m.dur.Dir, seq, m.snapshotLocked); err != nil {
+	seq, err := m.installCheckpointLocked()
+	if err != nil {
 		return err
 	}
-	m.ckptSeq = seq
-	m.ckptSince = 0
-	m.met.ckpts.Inc()
-	m.met.ckptSeqA.Store(seq)
 	keep := seq
 	if h := m.horizonLocked(); h < keep {
 		keep = h

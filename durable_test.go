@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -591,6 +593,92 @@ func TestOpenConfigMismatch(t *testing.T) {
 			t.Error("Open of a shard member's directory without a window succeeded")
 		}
 	})
+}
+
+// treeFiles reads every file under dir, keyed by path.
+func treeFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestOpenShardMemberStandalone opens one member directory of a durable
+// sharded stream as a standalone monitor. The member's log is sparse — it
+// holds its shard's subsequence of the stream — so read as a dense log its
+// first sequence gap looks like corruption, and truncating there destroyed
+// the member's records. Open must refuse the directory and change no file
+// under it, and the sharded stream must reopen whole. A time window (whose
+// checkpoint does not record shard membership) with a checkpoint, and a
+// count window without one.
+func TestOpenShardMemberStandalone(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		window     int
+		period     int64
+		checkpoint bool
+	}{
+		{name: "period with checkpoint", period: 100, checkpoint: true},
+		{name: "window without checkpoint", window: 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			base := pskyline.Options{
+				Dims: 2, Window: tc.window, Period: tc.period, Thresholds: []float64{0.3},
+				Durability: pskyline.Durability{Dir: root, Fsync: "never", CheckpointEvery: -1},
+			}
+			stream := durStream(29, 400, 2, 1)
+			sm, err := pskyline.NewSharded(pskyline.ShardedOptions{Options: base, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sm.PushBatch(stream[:200]); err != nil {
+				t.Fatal(err)
+			}
+			if tc.checkpoint {
+				if err := sm.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := sm.PushBatch(stream[200:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := sm.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			member := filepath.Join(root, "shard-000")
+			before := treeFiles(t, member)
+			o := base
+			o.Durability.Dir = member
+			if m, err := pskyline.Open(o); err == nil {
+				m.Close()
+				t.Fatalf("Open of a shard member's directory as a standalone monitor succeeded: %+v", m.Recovery())
+			}
+			if after := treeFiles(t, member); !reflect.DeepEqual(after, before) {
+				t.Fatal("the refused Open changed the shard member's directory")
+			}
+
+			sm, err = pskyline.NewSharded(pskyline.ShardedOptions{Options: base, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sm.Close()
+			if got := sm.Stats().Processed; got != 400 {
+				t.Fatalf("sharded stream reopened at %d of 400 elements", got)
+			}
+		})
+	}
 }
 
 // TestDurableNaNProbability: a NaN occurrence probability is rejected

@@ -142,7 +142,6 @@ func (s *Server) ackProgressLocked() {
 		}
 		if q := applied[k-1]; q > s.quorumSeq {
 			s.quorumSeq = q
-			s.log.SetAckedSeq(q)
 			s.wakeWaitersLocked()
 		}
 	}

@@ -167,7 +167,7 @@ func TestSemiSyncDegradeHealUpgradeCycle(t *testing.T) {
 	if st.Degrades < 2 || st.Upgrades < 2 || st.WaitTimeouts < 1 {
 		t.Fatalf("transition counters off: %+v", st)
 	}
-	if st.QuorumAcked == 0 || primary.ReplicationLog().AckedSeq() == 0 {
+	if st.QuorumAcked == 0 {
 		t.Fatalf("quorum watermark never advanced: %+v", st)
 	}
 	var prom strings.Builder
@@ -337,7 +337,7 @@ func TestSemiSyncKillLossBound(t *testing.T) {
 	}
 
 	// Hard stop, mid-churn: no drain, no waiting for the follower.
-	acked := primary.ReplicationLog().AckedSeq()
+	acked := srv.Status().QuorumAcked
 	srv.Close()
 	primary.Close()
 

@@ -12,11 +12,12 @@ import (
 )
 
 // FuzzWALRecord throws arbitrary bytes at the two decoding layers a crashed
-// or corrupted log exercises: the record payload decoder, and the segment
-// scanner that frames records and classifies where (and why) a segment goes
-// bad. Neither may ever panic, a successful payload decode must re-encode to
-// the identical bytes, and the scanner must always preserve the valid record
-// planted before the fuzz tail — whatever the tail holds.
+// or corrupted log exercises: the frame parser, fed the bytes as the payload
+// of a correctly framed record, and the segment scanner that frames records
+// and classifies where (and why) a segment goes bad. Neither may ever panic,
+// a successful payload decode must re-encode to the identical bytes, and the
+// scanner must always preserve the valid record planted before the fuzz
+// tail — whatever the tail holds.
 func FuzzWALRecord(f *testing.F) {
 	// Seed corpus: valid payloads of a few dimensionalities, their truncated
 	// prefixes, and single-bit flips.
@@ -37,8 +38,11 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte{recElement})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		rec, _, err := decodeRecord(payload, nil)
-		if err == nil {
+		framed := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		framed = binary.LittleEndian.AppendUint32(framed, checksum(payload))
+		framed = append(framed, payload...)
+		var scratch []float64
+		if rec, _, end := parseFrame(framed, &scratch); end == endClean {
 			// The encoding is canonical: whatever decodes must re-encode to
 			// the exact same bytes.
 			re := appendRecord(nil, rec.Seq, rec.Point, rec.Prob, rec.TS)
@@ -59,7 +63,8 @@ func FuzzWALRecord(f *testing.F) {
 		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		info, torn, reason, err := scanSegment(vfs.OS{}, path, 7, false, nil)
+		sc, err := scanSegment(vfs.OS{}, path, 7, false, nil)
+		info, torn, reason := sc.info, sc.info.size, sc.end
 		if err != nil {
 			t.Fatalf("scanSegment returned an error for in-file garbage: %v", err)
 		}
@@ -87,11 +92,17 @@ func FuzzWALRecord(f *testing.F) {
 // FuzzWALRecordHeader fuzzes the length/CRC framing: arbitrary 8-byte headers
 // followed by arbitrary bytes must never panic the scanner and must never
 // yield a record beyond the planted prefix unless the CRC genuinely matches.
+// The same bytes fed to DecodeRecords, the follower's reader, must be framed
+// identically: it accepts exactly the frames the scan accepted, and stops
+// where the scan found a torn or corrupt frame.
 func FuzzWALRecordHeader(f *testing.F) {
 	valid := appendRecord(nil, 3, []float64{9}, 0.5, 1)
 	f.Add(valid[:recHdrLen], valid[recHdrLen:])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, []byte{})
 	f.Add([]byte{29, 0, 0, 0, 0, 0, 0, 0}, bytes.Repeat([]byte{0}, 29))
+	next := appendRecord(nil, 4, []float64{8}, 0.25, 2)
+	f.Add(next[:recHdrLen], next[recHdrLen:])
+	f.Add(next[:recHdrLen], next[recHdrLen:len(next)-1])
 
 	f.Fuzz(func(t *testing.T, hdr, body []byte) {
 		dir := t.TempDir()
@@ -102,10 +113,11 @@ func FuzzWALRecordHeader(f *testing.F) {
 		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		info, _, reason, err := scanSegment(vfs.OS{}, path, 3, false, nil)
+		sc, err := scanSegment(vfs.OS{}, path, 3, false, nil)
 		if err != nil {
 			t.Fatalf("scanSegment error: %v", err)
 		}
+		info := sc.info
 		if info.records < 1 {
 			t.Fatalf("valid prefix lost: %+v", info)
 		}
@@ -123,6 +135,39 @@ func FuzzWALRecordHeader(f *testing.F) {
 				t.Fatalf("accepted a record with a wrong CRC")
 			}
 		}
-		_ = reason
+
+		var seqs []uint64
+		derr := DecodeRecords(content[segHdrLen:], func(r Record) error {
+			seqs = append(seqs, r.Seq)
+			return nil
+		})
+		// A frame out of sequence order is still a valid frame: the scan
+		// stops at it, DecodeRecords (which knows no order) accepts it.
+		framed := int(info.records)
+		if sc.end == endOrder {
+			framed++
+		}
+		if len(seqs) < framed {
+			t.Fatalf("DecodeRecords accepted %d frames, the scan %d (end %v): %v", len(seqs), framed, sc.end, derr)
+		}
+		for i := uint64(0); i < info.records; i++ {
+			if seqs[i] != 3+i {
+				t.Fatalf("DecodeRecords frame %d has seq %d, the scan's %d", i, seqs[i], 3+i)
+			}
+		}
+		switch sc.end {
+		case endClean:
+			if derr != nil || len(seqs) != framed {
+				t.Fatalf("clean segment of %d frames: DecodeRecords took %d, err %v", framed, len(seqs), derr)
+			}
+		case endTorn, endCorrupt:
+			if derr == nil || len(seqs) != framed {
+				t.Fatalf("%v frame after %d: DecodeRecords took %d, err %v", sc.end, framed, len(seqs), derr)
+			}
+		case endOrder:
+			if seqs[info.records] != sc.seq {
+				t.Fatalf("out-of-order frame has seq %d in the scan, %d in DecodeRecords", sc.seq, seqs[info.records])
+			}
+		}
 	})
 }

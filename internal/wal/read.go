@@ -1,21 +1,19 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-
-	"pskyline/internal/vfs"
+	"io/fs"
 )
 
-// The read side of the log: the minimal surface a replication shipper needs.
-// A primary streams its WAL to followers by (a) listing what is durable —
-// SealedSegments and the CommittedSeq watermark — and (b) following the
-// committed prefix record by record with a TailReader, which hands back the
-// raw on-disk record frames (length + CRC + payload) so the bytes a follower
-// replays are bit-identical to the bytes the primary logged.
+// The read side of the log for replication. A primary streams its WAL to
+// followers by following the committed prefix record by record with a
+// TailReader, which hands back the raw on-disk record frames (length + CRC +
+// payload) so the bytes a follower replays are bit-identical to the bytes the
+// primary logged; CommittedSeq and OldestSeq bound what can be streamed, and
+// a follower takes the frames apart with DecodeRecords. Recovery reads with
+// Replay. Every reader goes through the one frame parser (parseFrame), and
+// every reader of a segment file through the one buffered segReader.
 //
 // The readers never touch writer state: they snapshot the segment list under
 // the mutex and then scan the immutable committed prefix of the files. A
@@ -27,39 +25,6 @@ import (
 // (or was never logged because a checkpoint subsumed it): the records cannot
 // be streamed and the consumer must fall back to checkpoint catch-up.
 var ErrGone = errors.New("wal: requested records have been garbage-collected")
-
-// SegmentRef describes one sealed (immutable) segment.
-type SegmentRef struct {
-	Path     string
-	FirstSeq uint64
-	LastSeq  uint64 // valid when Records > 0
-	Records  uint64
-	Size     int64
-}
-
-// SealedSegments lists the immutable segments in first-sequence order: every
-// segment except the one currently open for appends. Their contents are
-// final — safe to read without coordination.
-func (w *WAL) SealedSegments() ([]SegmentRef, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil, ErrClosed
-	}
-	w.segMetaLocked()
-	n := len(w.segs)
-	if n > 0 && w.f != nil {
-		n-- // the last segment is active
-	}
-	refs := make([]SegmentRef, 0, n)
-	for _, sg := range w.segs[:n] {
-		refs = append(refs, SegmentRef{
-			Path: sg.path, FirstSeq: sg.firstSeq, LastSeq: sg.lastSeq,
-			Records: sg.records, Size: sg.size,
-		})
-	}
-	return refs, nil
-}
 
 // CommittedSeq returns the durability watermark: every record with sequence
 // below it has been written to the segment files (pending appends that have
@@ -73,26 +38,6 @@ func (w *WAL) CommittedSeq() uint64 {
 	}
 	return w.nextSeq
 }
-
-// SetAckedSeq advances the replication quorum-acked watermark: every record
-// with sequence below it has been acknowledged by the configured follower
-// quorum, alongside (and never ahead of what matters for) the local
-// durability watermark CommittedSeq. The watermark is monotone — stale
-// values from racing ack readers are ignored. It is maintained by the
-// replication layer; the WAL itself only stores it so durability and
-// replication progress read from one place.
-func (w *WAL) SetAckedSeq(seq uint64) {
-	for {
-		cur := w.ackedA.Load()
-		if seq <= cur || w.ackedA.CompareAndSwap(cur, seq) {
-			return
-		}
-	}
-}
-
-// AckedSeq returns the replication quorum-acked watermark last recorded by
-// SetAckedSeq (zero when no quorum has ever acked — e.g. async replication).
-func (w *WAL) AckedSeq() uint64 { return w.ackedA.Load() }
 
 // OldestSeq returns the sequence of the oldest record still retained by the
 // log, reporting ok=false when no records survive (a fresh or fully
@@ -118,7 +63,12 @@ type readSnapshot struct {
 	committed uint64 // CommittedSeq at snapshot time
 }
 
-func (w *WAL) readSnapshotLocked() readSnapshot {
+func (w *WAL) readSnapshot() (readSnapshot, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return readSnapshot{}, ErrClosed
+	}
 	w.segMetaLocked()
 	s := readSnapshot{segs: append([]segmentInfo(nil), w.segs...)}
 	if n := len(s.segs); n > 0 && w.f != nil {
@@ -131,16 +81,7 @@ func (w *WAL) readSnapshotLocked() readSnapshot {
 	} else {
 		s.committed = w.nextSeq
 	}
-	return s
-}
-
-func (w *WAL) readSnapshot() (readSnapshot, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return readSnapshot{}, ErrClosed
-	}
-	return w.readSnapshotLocked(), nil
+	return s, nil
 }
 
 // TailReader follows the committed prefix of the log from a starting
@@ -149,13 +90,9 @@ func (w *WAL) readSnapshot() (readSnapshot, error) {
 // goroutine; concurrent use requires separate readers.
 type TailReader struct {
 	w    *WAL
-	next uint64 // next sequence to deliver
-
-	f    vfs.File // open handle on the current segment (sequential reads)
-	path string
-	off  int64  // parse position in the file
-	buf  []byte // read-but-unparsed bytes starting at off
-	rerr error  // sticky read error
+	next uint64     // next sequence to deliver
+	r    *segReader // the segment being read (nil before the first)
+	rerr error      // sticky error
 }
 
 // NewTailReader positions a tail reader at from: the first record it
@@ -171,9 +108,9 @@ func (t *TailReader) Seq() uint64 { return t.next }
 
 // Close releases the reader's file handle. The reader is unusable after.
 func (t *TailReader) Close() {
-	if t.f != nil {
-		t.f.Close()
-		t.f = nil
+	if t.r != nil {
+		t.r.f.Close()
+		t.r = nil
 	}
 	if t.rerr == nil {
 		t.rerr = ErrClosed
@@ -184,7 +121,7 @@ func (t *TailReader) Close() {
 // returning the extended slice and the sequence range [first, last]
 // delivered (first == 0 && last == 0 when nothing new is committed — the
 // caller is caught up and should poll again later). Each frame is the exact
-// on-disk encoding (length + CRC + payload), re-verified against its CRC
+// on-disk encoding (length + CRC + payload), re-verified by the frame parser
 // before being handed out. ErrGone means the position was garbage-collected
 // and the consumer needs a checkpoint instead; any other error is a
 // corruption or I/O failure that makes the reader unusable.
@@ -198,9 +135,11 @@ func (t *TailReader) Next(dst []byte, maxBytes int) ([]byte, uint64, uint64, err
 	}
 	base := len(dst)
 	var first, last uint64
-	emitted := false
 	for len(dst)-base < maxBytes {
 		seg, ok, err := t.locate(snap)
+		if err == nil && ok && (t.r == nil || t.r.path != seg.path) {
+			err = t.open(seg.path)
+		}
 		if err != nil {
 			t.rerr = err
 			return dst, first, last, err
@@ -208,31 +147,35 @@ func (t *TailReader) Next(dst []byte, maxBytes int) ([]byte, uint64, uint64, err
 		if !ok {
 			break // caught up to the committed watermark
 		}
-		if t.path != seg.path {
-			if err := t.open(seg.path); err != nil {
-				if os.IsNotExist(err) {
-					// The segment was collected between the snapshot and the
-					// open; the consumer needs a checkpoint.
-					t.rerr = ErrGone
-					return dst, first, last, ErrGone
-				}
+		// A handle on a still-active segment is kept across calls: only the
+		// committed extent it may read moves.
+		t.r.limit = seg.size
+		progressed := false
+		for len(dst)-base < maxBytes {
+			frame, rec, end, err := t.r.next()
+			if err == nil && frame == nil && end != endClean {
+				// Commits only ever advance the extent by whole records.
+				err = fmt.Errorf("wal: tail %s: %s record frame at offset %d", seg.path, end, t.r.off)
+			}
+			if err != nil {
 				t.rerr = err
 				return dst, first, last, err
 			}
+			if frame == nil {
+				break // the segment's committed extent is drained
+			}
+			if rec.Seq < t.next {
+				continue // the prefix of a segment joined mid-way
+			}
+			if len(dst) == base {
+				first = rec.Seq
+			}
+			dst = append(dst, frame...)
+			last, t.next, progressed = rec.Seq, rec.Seq+1, true
 		}
-		dst, first, last, err = t.scan(seg, dst, base, maxBytes, &emitted, first, last)
-		if err != nil {
-			t.rerr = err
-			return dst, first, last, err
+		if !progressed {
+			break
 		}
-		if t.off < seg.size {
-			break // maxBytes stopped the scan mid-segment
-		}
-		// The segment's committed extent is drained. If it was sealed, the
-		// next iteration's locate moves to its successor; if it was the
-		// active segment, locate reports caught-up. Dropping the handle for
-		// a still-active segment would be wasteful, so keep it — open()
-		// replaces it only when the path changes.
 	}
 	return dst, first, last, nil
 }
@@ -278,142 +221,43 @@ func (t *TailReader) locate(snap readSnapshot) (segmentInfo, bool, error) {
 	return sg, true, nil
 }
 
-// open starts reading a segment from its beginning, verifying the magic.
-// Records before t.next are parsed and skipped by scan — the vfs.File
-// surface is sequential (no Seek), and a reconnecting consumer resuming
-// mid-segment pays one scan of the prefix.
+// open starts reading a segment from its beginning. Records before t.next
+// are parsed and skipped by Next — the vfs.File surface is sequential (no
+// Seek), and a reconnecting consumer resuming mid-segment pays one scan of
+// the prefix.
 func (t *TailReader) open(path string) error {
-	if t.f != nil {
-		t.f.Close()
-		t.f = nil
+	if t.r != nil {
+		t.r.f.Close()
+		t.r = nil
 	}
-	f, err := t.w.fs.Open(path)
-	if err != nil {
-		return err
+	r, _, err := openSegment(t.w.fs, path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// The segment was collected between the snapshot and the open; the
+		// consumer needs a checkpoint.
+		return ErrGone
+	case err == nil && r == nil:
+		return fmt.Errorf("wal: tail %s: no valid segment header", path)
 	}
-	var hdr [segHdrLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: tail %s: header: %w", path, err)
-	}
-	if string(hdr[:]) != string(segMagic) {
-		f.Close()
-		return fmt.Errorf("wal: tail %s: bad segment magic", path)
-	}
-	t.f, t.path, t.off, t.buf = f, path, segHdrLen, t.buf[:0]
-	return nil
-}
-
-// scan parses records from the current segment up to its committed extent,
-// emitting every record with sequence >= t.next until maxBytes is reached.
-func (t *TailReader) scan(seg segmentInfo, dst []byte, base, maxBytes int, emitted *bool, first, last uint64) ([]byte, uint64, uint64, error) {
-	extent := seg.size
-	for t.off < extent && len(dst)-base < maxBytes {
-		if err := t.ensure(recHdrLen, extent); err != nil {
-			return dst, first, last, err
-		}
-		n := int(binary.LittleEndian.Uint32(t.buf[:4]))
-		if n < 29 || n > maxPayload {
-			return dst, first, last, fmt.Errorf("wal: tail %s: bad record length %d at offset %d", t.path, n, t.off)
-		}
-		rec := recHdrLen + n
-		if t.off+int64(rec) > extent {
-			// Commits only ever advance the extent by whole records.
-			return dst, first, last, fmt.Errorf("wal: tail %s: record at offset %d crosses the committed boundary", t.path, t.off)
-		}
-		if err := t.ensure(rec, extent); err != nil {
-			return dst, first, last, err
-		}
-		payload := t.buf[recHdrLen:rec]
-		if checksum(payload) != binary.LittleEndian.Uint32(t.buf[4:8]) {
-			return dst, first, last, fmt.Errorf("wal: tail %s: CRC mismatch at offset %d", t.path, t.off)
-		}
-		if payload[0] != recElement {
-			return dst, first, last, fmt.Errorf("wal: tail %s: unknown record kind %d at offset %d", t.path, payload[0], t.off)
-		}
-		seq := binary.LittleEndian.Uint64(payload[1:9])
-		if seq >= t.next {
-			dst = append(dst, t.buf[:rec]...)
-			if !*emitted {
-				first = seq
-				*emitted = true
-			}
-			last = seq
-			t.next = seq + 1
-		}
-		t.buf = t.buf[rec:]
-		t.off += int64(rec)
-	}
-	return dst, first, last, nil
-}
-
-// ensure buffers at least need unparsed bytes, reading from the file but
-// never past extent — bytes beyond the committed extent may still be torn or
-// in flight.
-func (t *TailReader) ensure(need int, extent int64) error {
-	if len(t.buf) >= need {
-		return nil
-	}
-	// t.buf is a tail slice of earlier read storage (scan consumes from the
-	// front by re-slicing); copy the unparsed remainder into fresh storage
-	// so appends below reclaim the consumed prefix instead of growing the
-	// old array forever.
-	grown := make([]byte, len(t.buf), need+64<<10)
-	copy(grown, t.buf)
-	t.buf = grown
-	for len(t.buf) < need {
-		avail := extent - (t.off + int64(len(t.buf)))
-		if avail <= 0 {
-			return fmt.Errorf("wal: tail %s: committed extent ends inside a record at offset %d", t.path, t.off)
-		}
-		chunk := int64(64 << 10)
-		if chunk > avail {
-			chunk = avail
-		}
-		start := len(t.buf)
-		t.buf = append(t.buf, make([]byte, chunk)...)
-		n, err := t.f.Read(t.buf[start:])
-		t.buf = t.buf[:start+n]
-		if n == 0 {
-			if err == nil || err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("wal: tail %s: read at offset %d: %w", t.path, t.off+int64(start), err)
-		}
-	}
-	return nil
+	t.r = r
+	return err
 }
 
 // DecodeRecords iterates the raw record frames in b (the byte shape a
-// TailReader emits and a replication shipper transports), verifying each
-// length prefix and CRC and handing the decoded records to fn in order. The
+// TailReader emits and a replication shipper transports), checking each
+// with the frame parser and handing the decoded records to fn in order. The
 // Record's Point aliases a scratch buffer — fn must copy what it retains.
 func DecodeRecords(b []byte, fn func(Record) error) error {
 	var scratch []float64
-	for len(b) > 0 {
-		if len(b) < recHdrLen {
-			return fmt.Errorf("wal: records: %d trailing bytes", len(b))
+	for off := 0; off < len(b); {
+		rec, size, end := parseFrame(b[off:], &scratch)
+		if end != endClean {
+			return fmt.Errorf("wal: records: %s record frame at byte %d of %d", end, off, len(b))
 		}
-		n := int(binary.LittleEndian.Uint32(b[:4]))
-		if n < 29 || n > maxPayload {
-			return fmt.Errorf("wal: records: bad record length %d", n)
-		}
-		if len(b) < recHdrLen+n {
-			return fmt.Errorf("wal: records: truncated record (%d of %d bytes)", len(b), recHdrLen+n)
-		}
-		payload := b[recHdrLen : recHdrLen+n]
-		if checksum(payload) != binary.LittleEndian.Uint32(b[4:8]) {
-			return fmt.Errorf("wal: records: CRC mismatch")
-		}
-		rec, sc, err := decodeRecord(payload, scratch)
-		if err != nil {
-			return err
-		}
-		scratch = sc
 		if err := fn(rec); err != nil {
 			return err
 		}
-		b = b[recHdrLen+n:]
+		off += size
 	}
 	return nil
 }

@@ -19,7 +19,8 @@
 // Group commit is the caller's contract: Append any number of records, then
 // Commit once — one write syscall and (under FsyncAlways) one fsync for the
 // whole batch. Torn tails from crashes are detected by the checksum and
-// truncated on Open; checkpoints are installed with an atomic rename so a
+// truncated on Open, while a valid record out of sequence order makes Open
+// refuse the directory; checkpoints are installed with an atomic rename so a
 // crash mid-install never leaves a half-written checkpoint visible.
 //
 // Like the rest of the operator, the package is stdlib-only.
@@ -27,7 +28,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"math"
 )
@@ -51,8 +51,10 @@ const (
 	recHdrLen  = 8
 	recElement = 1
 
-	// maxPayload bounds a record's payload so a corrupt length prefix is
-	// rejected instead of driving a huge read.
+	// minPayload is the size of the payload's fixed fields (kind, sequence,
+	// probability, timestamp, d) and maxPayload bounds a payload so a
+	// corrupt length prefix is rejected instead of driving a huge read.
+	minPayload = 1 + 8 + 8 + 8 + 4
 	maxPayload = 1 << 20
 )
 
@@ -66,13 +68,14 @@ type Record struct {
 	Seq  uint64
 	Prob float64
 	TS   int64
-	// Point aliases the decoder's scratch buffer and is only valid until
-	// the next record is decoded; copy it to retain.
+	// Point aliases the reader's scratch buffer (Replay's or
+	// DecodeRecords') and is only valid until the next record is delivered;
+	// copy it to retain.
 	Point []float64
 }
 
 // payloadLen returns the payload size of an element record with d dimensions.
-func payloadLen(d int) int { return 1 + 8 + 8 + 8 + 4 + 8*d }
+func payloadLen(d int) int { return minPayload + 8*d }
 
 // recordLen returns the full on-disk size of an element record.
 func recordLen(d int) int { return recHdrLen + payloadLen(d) }
@@ -105,31 +108,72 @@ func appendRecord(buf []byte, seq uint64, pt []float64, p float64, ts int64) []b
 	return buf
 }
 
-// decodeRecord parses a record payload whose CRC has already been verified.
-// The point coordinates are decoded into scratch (grown as needed) and
-// aliased by the returned Record.
-func decodeRecord(payload []byte, scratch []float64) (Record, []float64, error) {
-	if len(payload) < 29 {
-		return Record{}, scratch, fmt.Errorf("wal: record payload %d bytes, want >= 29", len(payload))
+// scanEnd is parseFrame's verdict on one frame, and why a segment scan
+// stopped where it did. endTorn is the expected crash signature: a frame that
+// simply ran out of bytes (a partial header or payload at the tail).
+// endCorrupt means the bytes were present but wrong. endOrder is a valid
+// frame whose sequence breaks its segment's order (see scanSegment). The
+// distinction matters for recovery: torn tails are routine and truncated,
+// corruption in the middle of a supposedly synced log is truncated and
+// counted, and an order break is refused, since its bytes are intact.
+type scanEnd int
+
+const (
+	endClean scanEnd = iota
+	endTorn
+	endCorrupt
+	endOrder
+)
+
+func (e scanEnd) String() string {
+	return [...]string{"clean", "torn", "corrupt", "out-of-order"}[e]
+}
+
+// parseFrame is the one parser of the record frame format: Open's validation
+// scan, Replay, the replication TailReader and a follower's DecodeRecords all
+// take frames apart through it. It parses the frame at the front of b and
+// returns the decoded record and the frame's size, with the verdict:
+//
+//   - endClean: b starts with a whole, valid frame of size bytes.
+//   - endTorn: b ends inside the frame, at a partial header or before the
+//     end of a well-formed length prefix's payload. size is how many bytes
+//     the frame needs; a streaming reader fetches more and parses again.
+//   - endCorrupt: the bytes are present but wrong: a length prefix outside
+//     [minPayload, maxPayload], a CRC mismatch, an unknown record kind or a
+//     payload that does not match its dimensionality.
+//
+// The record's Point aliases *scratch, which is grown as needed.
+func parseFrame(b []byte, scratch *[]float64) (rec Record, size int, end scanEnd) {
+	if len(b) < recHdrLen {
+		return Record{}, recHdrLen, endTorn
 	}
-	if payload[0] != recElement {
-		return Record{}, scratch, fmt.Errorf("wal: unknown record kind %d", payload[0])
+	n := int(binary.LittleEndian.Uint32(b))
+	if n < minPayload || n > maxPayload {
+		return Record{}, 0, endCorrupt
 	}
+	size = recHdrLen + n
+	if len(b) < size {
+		return Record{}, size, endTorn
+	}
+	payload := b[recHdrLen:size]
 	d := int(binary.LittleEndian.Uint32(payload[25:]))
-	if d < 1 || len(payload) != payloadLen(d) {
-		return Record{}, scratch, fmt.Errorf("wal: record payload %d bytes does not match dimensionality %d", len(payload), d)
+	if checksum(payload) != binary.LittleEndian.Uint32(b[4:]) ||
+		payload[0] != recElement || d < 1 || n != payloadLen(d) {
+		return Record{}, size, endCorrupt
 	}
-	if cap(scratch) < d {
-		scratch = make([]float64, d)
+	pt := *scratch
+	if cap(pt) < d {
+		pt = make([]float64, d)
 	}
-	scratch = scratch[:d]
-	for i := 0; i < d; i++ {
-		scratch[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[29+8*i:]))
+	pt = pt[:d]
+	for i := range pt {
+		pt[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[minPayload+8*i:]))
 	}
+	*scratch = pt
 	return Record{
 		Seq:   binary.LittleEndian.Uint64(payload[1:]),
 		Prob:  math.Float64frombits(binary.LittleEndian.Uint64(payload[9:])),
 		TS:    int64(binary.LittleEndian.Uint64(payload[17:])),
-		Point: scratch,
-	}, scratch, nil
+		Point: pt,
+	}, size, endClean
 }

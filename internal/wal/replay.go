@@ -1,12 +1,8 @@
 package wal
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// ReplayProgress publishes live recovery progress. Workers update it with
+// ReplayProgress publishes live recovery progress. Replay updates it with
 // atomic stores, so a health endpoint can poll it from another goroutine
 // while a recovery replay is running. The zero value is ready to use.
 type ReplayProgress struct {
@@ -24,113 +20,61 @@ func (p *ReplayProgress) SegmentsDecoded() uint64 { return p.segDone.Load() }
 // RecordsReplayed returns the number of records delivered to the caller.
 func (p *ReplayProgress) RecordsReplayed() uint64 { return p.records.Load() }
 
-// decodedSeg is one segment's records decoded off the critical path by a
-// worker. Points are copied out of the scanner's scratch buffer into a
-// per-segment arena, so the records stay valid until the merge consumes them.
-type decodedSeg struct {
-	recs []Record
-	err  error
-	done chan struct{} // closed when the worker finishes this segment
-}
-
-// ReplayParallel is Replay with the CPU-bound record decoding (CRC checks,
-// varint-free fixed-width parsing, point materialization) fanned across
-// workers, one whole segment per worker at a time. Records are still
-// delivered to fn strictly in log order — an ordered merge over the
-// per-segment results — so the caller observes the exact sequence Replay
-// would produce; only the wall-clock changes. workers <= 0 selects
-// GOMAXPROCS; with one worker (or one segment) it degrades to the serial
-// scan. prog, when non-nil, is updated live for progress reporting.
+// Replay streams every valid record with sequence >= from to fn, in log
+// order, one segment after the other, and returns the number delivered.
+// Records below from (already covered by a checkpoint) are skipped. fn's
+// Record aliases a scratch buffer; it must copy what it retains. An error
+// from fn stops the replay and is returned with the count delivered so far.
+// prog, when non-nil, is updated live.
 //
-// Unlike Replay, the Record passed to fn does NOT alias a scratch buffer
-// that the next record overwrites: parallel decode copies points into
-// per-segment arenas. fn must still copy what it retains beyond the replay,
-// since arenas are released as the merge advances.
-func (w *WAL) ReplayParallel(from uint64, workers int, prog *ReplayProgress, fn func(Record) error) (uint64, error) {
-	work, err := w.replaySegments(from)
-	if err != nil {
-		return 0, err
+// Pending appends are flushed first, so the files hold every one of them.
+// Decoding is a small share of recovery: the records must be re-applied to
+// the engine in log order anyway, and that is where the time goes.
+func (w *WAL) Replay(from uint64, prog *ReplayProgress, fn func(Record) error) (uint64, error) {
+	w.mu.Lock()
+	if w.err != nil {
+		w.mu.Unlock()
+		return 0, w.err
 	}
-	if prog != nil {
-		prog.segTotal.Store(uint64(len(work)))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(work) {
-		workers = len(work)
-	}
-	if workers <= 1 {
-		// One lane: stream records straight from the scanner, no buffering.
-		return w.replaySerial(work, from, prog, fn)
-	}
-
-	results := make([]decodedSeg, len(work))
-	for i := range results {
-		results[i].done = make(chan struct{})
-	}
-	var nextIdx atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(nextIdx.Add(1) - 1)
-				if idx >= len(work) || cancelled.Load() {
-					return
-				}
-				sg := work[idx]
-				var recs []Record
-				var arena []float64
-				_, _, _, err := scanSegment(w.fs, sg.path, sg.firstSeq, w.opt.SparseSeq, func(rec Record) error {
-					d := len(rec.Point)
-					if cap(arena)-len(arena) < d {
-						arena = make([]float64, 0, max(64<<10, d))
-					}
-					start := len(arena)
-					arena = arena[:start+d]
-					copy(arena[start:], rec.Point)
-					rec.Point = arena[start : start+d : start+d]
-					recs = append(recs, rec)
-					return nil
-				})
-				results[idx].recs = recs
-				results[idx].err = err
-				close(results[idx].done)
-				if prog != nil {
-					prog.segDone.Add(1)
-				}
+	if w.State() != StateDegraded {
+		if err := w.writePendingOnceLocked(); err != nil {
+			if err = w.failLocked("replay", err, opFlush); err != nil {
+				w.mu.Unlock()
+				return 0, err
 			}
-		}()
-	}
-
-	var n uint64
-	var firstErr error
-merge:
-	for i := range work {
-		<-results[i].done
-		if results[i].err != nil {
-			firstErr = results[i].err
-			break
 		}
-		for _, rec := range results[i].recs {
+	}
+	// Finalize the active segment's metadata so it is not skipped as empty.
+	w.segMetaLocked()
+	var segs []segmentInfo
+	for _, sg := range w.segs {
+		if sg.records > 0 && sg.lastSeq >= from {
+			segs = append(segs, sg)
+		}
+	}
+	w.mu.Unlock()
+
+	if prog != nil {
+		prog.segTotal.Store(uint64(len(segs)))
+	}
+	var n uint64
+	for _, sg := range segs {
+		_, err := scanSegment(w.fs, sg.path, sg.firstSeq, w.opt.SparseSeq, func(rec Record) error {
 			if rec.Seq < from {
-				continue
+				return nil
 			}
 			n++
 			if prog != nil {
 				prog.records.Add(1)
 			}
-			if err := fn(rec); err != nil {
-				firstErr = err
-				break merge
-			}
+			return fn(rec)
+		})
+		if prog != nil {
+			prog.segDone.Add(1)
 		}
-		results[i].recs = nil // release the arena as the merge advances
+		if err != nil {
+			return n, err
+		}
 	}
-	cancelled.Store(true)
-	wg.Wait()
-	return n, firstErr
+	return n, nil
 }

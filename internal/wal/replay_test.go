@@ -2,85 +2,12 @@ package wal
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
-	"runtime"
 	"testing"
 )
 
-// replayAllParallel collects every record with seq >= from via the parallel
-// decoder.
-func replayAllParallel(t *testing.T, w *WAL, from uint64, workers int, prog *ReplayProgress) []Record {
-	t.Helper()
-	var out []Record
-	if _, err := w.ReplayParallel(from, workers, prog, func(r Record) error {
-		r.Point = append([]float64(nil), r.Point...)
-		out = append(out, r)
-		return nil
-	}); err != nil {
-		t.Fatalf("replay parallel: %v", err)
-	}
-	return out
-}
-
-func recordsEqual(t *testing.T, serial, parallel []Record) {
-	t.Helper()
-	if len(serial) != len(parallel) {
-		t.Fatalf("serial replay delivered %d records, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		a, b := serial[i], parallel[i]
-		if a.Seq != b.Seq || a.Prob != b.Prob || a.TS != b.TS {
-			t.Fatalf("record %d diverged: serial %+v, parallel %+v", i, a, b)
-		}
-		if len(a.Point) != len(b.Point) {
-			t.Fatalf("record %d point dims: %d vs %d", i, len(a.Point), len(b.Point))
-		}
-		for d := range a.Point {
-			if a.Point[d] != b.Point[d] {
-				t.Fatalf("record %d dim %d: %v vs %v", i, d, a.Point[d], b.Point[d])
-			}
-		}
-	}
-}
-
-// TestReplayParallelMatchesSerial proves the parallel decoder delivers the
-// exact record sequence of the serial scan — same records, same order, same
-// bytes — across segment counts, worker counts and replay start positions.
-func TestReplayParallelMatchesSerial(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments force a multi-segment log so the fan-out has real work.
-	w, _, err := Open(dir, Options{SegmentBytes: 2048, Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	appendN(t, w, 1, 2000, 3, 16, 11)
-	if got := w.SegmentCount(); got < 8 {
-		t.Fatalf("test needs a multi-segment log, got %d segments", got)
-	}
-	for _, from := range []uint64{0, 1, 777, 1999, 2001} {
-		serial := replayAll(t, w, from)
-		for _, workers := range []int{0, 1, 2, 4, 7} {
-			t.Run(fmt.Sprintf("from=%d/workers=%d", from, workers), func(t *testing.T) {
-				var prog ReplayProgress
-				par := replayAllParallel(t, w, from, workers, &prog)
-				recordsEqual(t, serial, par)
-				if prog.SegmentsDecoded() != prog.SegmentsTotal() {
-					t.Fatalf("progress: %d of %d segments decoded after completion",
-						prog.SegmentsDecoded(), prog.SegmentsTotal())
-				}
-				if got := prog.RecordsReplayed(); got != uint64(len(par)) {
-					t.Fatalf("progress counted %d records, delivered %d", got, len(par))
-				}
-			})
-		}
-	}
-}
-
-// TestReplayParallelCallbackError checks a failing callback stops the merge
-// and surfaces the error, with all workers reaped.
-func TestReplayParallelCallbackError(t *testing.T) {
+// TestReplayCallbackError checks a failing callback stops the replay and
+// surfaces the error with the count delivered so far.
+func TestReplayCallbackError(t *testing.T) {
 	dir := t.TempDir()
 	w, _, err := Open(dir, Options{SegmentBytes: 2048, Fsync: FsyncNever})
 	if err != nil {
@@ -90,7 +17,8 @@ func TestReplayParallelCallbackError(t *testing.T) {
 	appendN(t, w, 1, 1000, 2, 16, 5)
 	boom := errors.New("boom")
 	seen := 0
-	n, err := w.ReplayParallel(0, 4, nil, func(r Record) error {
+	var prog ReplayProgress
+	n, err := w.Replay(0, &prog, func(r Record) error {
 		seen++
 		if seen == 137 {
 			return boom
@@ -100,86 +28,45 @@ func TestReplayParallelCallbackError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("want callback error, got %v", err)
 	}
-	if n != 137 {
-		t.Fatalf("delivered %d records before the error, want 137", n)
+	if n != 137 || prog.RecordsReplayed() != 137 {
+		t.Fatalf("delivered %d records (progress %d) before the error, want 137", n, prog.RecordsReplayed())
+	}
+	if prog.SegmentsDecoded() >= prog.SegmentsTotal() {
+		t.Fatalf("progress: %d of %d segments decoded after an early stop", prog.SegmentsDecoded(), prog.SegmentsTotal())
 	}
 }
 
-// TestReplayParallelEmptyAndSingle covers the degenerate shapes: an empty
-// log, and a replay start past the end.
-func TestReplayParallelEmptyAndSingle(t *testing.T) {
+// TestReplayEmptyAndPastEnd covers the degenerate shapes: an empty log, and
+// a replay start past the end, both deliver nothing; a full replay's progress
+// totals match what it delivered.
+func TestReplayEmptyAndPastEnd(t *testing.T) {
 	dir := t.TempDir()
-	w, _, err := Open(dir, Options{Fsync: FsyncNever})
+	w, _, err := Open(dir, Options{SegmentBytes: 2048, Fsync: FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	nop := func(r Record) error { return nil }
 	var prog ReplayProgress
-	n, err := w.ReplayParallel(0, 4, &prog, func(r Record) error { return nil })
+	n, err := w.Replay(0, &prog, nop)
 	if err != nil || n != 0 {
 		t.Fatalf("empty log: n=%d err=%v", n, err)
 	}
-	if prog.SegmentsTotal() != 0 {
-		t.Fatalf("empty log reported %d segments", prog.SegmentsTotal())
+	if prog.SegmentsTotal() != 0 || prog.RecordsReplayed() != 0 {
+		t.Fatalf("empty log reported %d segments, %d records", prog.SegmentsTotal(), prog.RecordsReplayed())
 	}
-	appendN(t, w, 1, 10, 2, 4, 3)
-	n, err = w.ReplayParallel(100, 4, nil, func(r Record) error { return nil })
+	appendN(t, w, 1, 300, 2, 4, 3)
+	n, err = w.Replay(1000, nil, nop)
 	if err != nil || n != 0 {
 		t.Fatalf("past-end replay: n=%d err=%v", n, err)
 	}
-}
-
-// BenchmarkReplayParallel measures the parallel-decode speedup over the
-// serial scan on a multi-segment log. It requires real parallelism and
-// skips on a single-CPU machine, where the fan-out cannot win.
-func BenchmarkReplayParallel(b *testing.B) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		b.Skip("parallel decode needs GOMAXPROCS >= 2")
+	var full ReplayProgress
+	n, err = w.Replay(0, &full, nop)
+	if err != nil || n != 300 {
+		t.Fatalf("full replay: n=%d err=%v", n, err)
 	}
-	dir := b.TempDir()
-	w, _, err := Open(dir, Options{SegmentBytes: 1 << 20, Fsync: FsyncNever})
-	if err != nil {
-		b.Fatal(err)
+	if full.SegmentsTotal() != uint64(w.SegmentCount()) || full.SegmentsDecoded() != full.SegmentsTotal() || full.RecordsReplayed() != n {
+		t.Fatalf("progress: %d of %d segments decoded, %d records counted, %d delivered, %d segments",
+			full.SegmentsDecoded(), full.SegmentsTotal(), full.RecordsReplayed(), n, w.SegmentCount())
 	}
-	defer w.Close()
-	seq := uint64(1)
-	for i := 0; i < 100; i++ {
-		seq = appendNB(b, w, seq, 2000, 3, 64, int64(i))
-	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n, err := w.ReplayParallel(0, workers, nil, func(r Record) error { return nil })
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("no records replayed")
-				}
-			}
-		})
-	}
-}
-
-// appendNB is appendN for benchmarks.
-func appendNB(b *testing.B, w *WAL, seq uint64, n, dims, commitEvery int, rngSeed int64) uint64 {
-	b.Helper()
-	rng := rand.New(rand.NewSource(rngSeed))
-	for i := 0; i < n; i++ {
-		pt, p, ts := testElem(rng, dims)
-		if err := w.AppendElement(seq, pt, p, ts); err != nil {
-			b.Fatalf("append %d: %v", seq, err)
-		}
-		seq++
-		if (i+1)%commitEvery == 0 {
-			if err := w.Commit(); err != nil {
-				b.Fatalf("commit: %v", err)
-			}
-		}
-	}
-	if err := w.Commit(); err != nil {
-		b.Fatalf("commit: %v", err)
-	}
-	return seq
 }

@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -71,130 +71,154 @@ func listSegments(fsys vfs.FS, dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// scanEnd classifies why a segment scan stopped before the file's end.
-// endTorn is the expected crash signature — a record that simply ran out of
-// bytes (a partial header or payload at the tail). endCorrupt means the
-// bytes were present but wrong: a bad length prefix, CRC mismatch, decode
-// failure, or sequence discontinuity. The distinction matters for recovery
-// diagnostics: torn tails are routine, corruption in the middle of a
-// supposedly synced log is not.
-type scanEnd int
+// segReader reads one segment's record frames front to back through one
+// buffer. It is the only reader of segment files: Open's validation scan and
+// Replay read a whole file, and a TailReader reads up to the committed
+// extent, which it raises as commits land.
+type segReader struct {
+	f       vfs.File
+	path    string
+	off     int64  // file offset of buf[0], the next frame to parse
+	limit   int64  // no byte at or past this offset is read
+	buf     []byte // read but unparsed bytes, a window of store
+	store   []byte
+	scratch []float64
+}
 
-const (
-	endClean scanEnd = iota
-	endTorn
-	endCorrupt
-)
-
-// scanSegment validates one segment from the front: header magic, each
-// record's length prefix and CRC, the name/first-record agreement, and
-// intra-segment sequence continuity. It returns the segment metadata, the
-// byte offset of the first invalid position — the torn point — and why the
-// scan stopped there. A fully valid segment has torn == size and endClean.
-// onRecord, when non-nil, receives every valid record in order (used by
-// Replay; the scan pass on Open passes nil).
-//
-// sparse relaxes intra-segment continuity to "strictly increasing": a log
-// written by one shard of a sharded monitor carries that shard's
-// subsequence of the globally numbered stream, so consecutive records may
-// legitimately skip sequences. The first record must still match the file
-// name, and any non-increase is still corruption.
-func scanSegment(fsys vfs.FS, path string, nameSeq uint64, sparse bool, onRecord func(Record) error) (info segmentInfo, torn int64, reason scanEnd, err error) {
+// openSegment opens a segment and checks its magic. It returns a nil reader
+// when the file holds no frames: an empty file (endClean), one shorter than
+// the magic — a segment creation that died mid-write (endTorn) — or one whose
+// magic is not ours, so nothing in it is trustworthy (endCorrupt).
+func openSegment(fsys vfs.FS, path string) (*segReader, scanEnd, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return info, 0, endClean, fmt.Errorf("wal: %w", err)
+		return nil, endClean, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
-	info = segmentInfo{path: path, firstSeq: nameSeq}
-
 	var hdr [segHdrLen]byte
-	if _, herr := io.ReadFull(f, hdr[:]); herr != nil {
-		// Fewer than 8 bytes: a segment creation that died mid-magic.
-		return info, 0, endTorn, nil
+	_, err = io.ReadFull(f, hdr[:])
+	end := endClean
+	switch {
+	case err == io.ErrUnexpectedEOF:
+		end = endTorn
+	case err == nil && string(hdr[:]) != string(segMagic):
+		end = endCorrupt
+	case err == nil:
+		return &segReader{f: f, path: path, off: segHdrLen, limit: math.MaxInt64, store: make([]byte, 64<<10)}, endClean, nil
+	case err != io.EOF:
+		err = fmt.Errorf("wal: read %s: %w", path, err)
+	default:
+		err = nil
 	}
-	if string(hdr[:]) != string(segMagic) {
-		// A full header that is not ours: nothing in the file is trustworthy.
-		return info, 0, endCorrupt, nil
+	f.Close()
+	return nil, end, err
+}
+
+// next returns the next frame and its decoded record. At the end of the file
+// or limit it returns a nil frame with endClean when the end falls on a frame
+// boundary and endTorn when it does not; a nil frame with endCorrupt means
+// the next frame's bytes are wrong. err is reserved for I/O failures. The
+// frame aliases the reader's buffer and the record's Point its scratch: both
+// are valid until the next call.
+func (r *segReader) next() (frame []byte, rec Record, end scanEnd, err error) {
+	for {
+		var size int
+		if rec, size, end = parseFrame(r.buf, &r.scratch); end == endClean {
+			frame, r.buf = r.buf[:size], r.buf[size:]
+			r.off += int64(size)
+			return frame, rec, endClean, nil
+		}
+		if end == endCorrupt {
+			return nil, Record{}, endCorrupt, nil
+		}
+		more, err := r.fill(size)
+		if err != nil || !more {
+			if len(r.buf) == 0 {
+				end = endClean
+			}
+			return nil, Record{}, end, err
+		}
 	}
-	off := int64(segHdrLen)
-	r := newSegReader(f)
-	var recHdr [recHdrLen]byte
-	var payload []byte
-	var scratch []float64
+}
+
+// fill reads until the buffer holds need bytes, reporting false when the file
+// or the limit ends first. The unparsed remainder moves to the front of the
+// storage first, so the buffer never grows past one read chunk or one frame.
+func (r *segReader) fill(need int) (bool, error) {
+	if need > len(r.store) {
+		r.store = make([]byte, need)
+	}
+	r.buf = r.store[:copy(r.store, r.buf)]
+	for len(r.buf) < need {
+		room := r.store[len(r.buf):]
+		if left := r.limit - r.off - int64(len(r.buf)); left < int64(len(room)) {
+			room = room[:left]
+		}
+		if len(room) == 0 {
+			return false, nil
+		}
+		n, err := r.f.Read(room)
+		r.buf = r.buf[:len(r.buf)+n]
+		if n == 0 {
+			if err == nil || err == io.EOF {
+				return false, nil
+			}
+			return false, fmt.Errorf("wal: read %s at offset %d: %w", r.path, r.off+int64(len(r.buf)), err)
+		}
+	}
+	return true, nil
+}
+
+// segScan is what scanSegment found in one segment: the valid prefix (its
+// records and span, with info.size where it ends), why the scan stopped
+// there, and for endOrder the sequence of the record that broke the order.
+type segScan struct {
+	info segmentInfo
+	end  scanEnd
+	seq  uint64
+}
+
+// scanSegment validates one segment from the front: header magic, every
+// frame through parseFrame, and the segment's sequence order. The first
+// record must carry the sequence the file is named by, and each later one
+// must follow its predecessor: consecutively in a dense log, strictly
+// increasing in a sparse one. A log written by one shard of a sharded monitor
+// is sparse — it carries that shard's subsequence of the globally numbered
+// stream, so consecutive records may legitimately skip sequences. A valid
+// frame that breaks the order ends the scan with endOrder: its bytes are
+// intact, so it is not a crash artifact but a log read under the wrong
+// settings. onRecord, when non-nil, receives every valid record in order
+// (used by Replay; the scan pass on Open passes nil).
+func scanSegment(fsys vfs.FS, path string, nameSeq uint64, sparse bool, onRecord func(Record) error) (segScan, error) {
+	sc := segScan{info: segmentInfo{path: path, firstSeq: nameSeq}}
+	r, end, err := openSegment(fsys, path)
+	if r == nil {
+		sc.end = end
+		return sc, err
+	}
+	defer r.f.Close()
+	sc.info.size = segHdrLen
 	expect := nameSeq
 	for {
-		if _, herr := io.ReadFull(r, recHdr[:]); herr != nil {
-			if herr != io.EOF {
-				// A partial header is a torn tail; clean EOF ends the segment.
-				reason = endTorn
-			}
-			break
+		frame, rec, end, err := r.next()
+		if err != nil {
+			return sc, err
 		}
-		n := int(binary.LittleEndian.Uint32(recHdr[:4]))
-		if n < 29 || n > maxPayload {
-			reason = endCorrupt
-			break
+		if frame == nil {
+			sc.end = end
+			return sc, nil
 		}
-		if cap(payload) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, perr := io.ReadFull(r, payload); perr != nil {
-			reason = endTorn
-			break
-		}
-		if checksum(payload) != binary.LittleEndian.Uint32(recHdr[4:]) {
-			reason = endCorrupt
-			break
-		}
-		var rec Record
-		var derr error
-		rec, scratch, derr = decodeRecord(payload, scratch)
-		if derr != nil {
-			reason = endCorrupt
-			break
-		}
-		if rec.Seq != expect && !(sparse && info.records > 0 && rec.Seq > expect) {
-			// First record must match the file name; later records must be
-			// consecutive (dense) or strictly increasing (sparse). Either
-			// mismatch means corruption from here on.
-			reason = endCorrupt
-			break
+		if rec.Seq != expect && !(sparse && sc.info.records > 0 && rec.Seq > expect) {
+			sc.end, sc.seq = endOrder, rec.Seq
+			return sc, nil
 		}
 		expect = rec.Seq + 1
 		if onRecord != nil {
 			if err := onRecord(rec); err != nil {
-				return info, 0, endClean, err
+				return sc, err
 			}
 		}
-		off += int64(recHdrLen + n)
-		info.records++
-		info.lastSeq = rec.Seq
+		sc.info.size = r.off
+		sc.info.records++
+		sc.info.lastSeq = rec.Seq
 	}
-	info.size = off
-	return info, off, reason, nil
-}
-
-// segReader is a small fixed-buffer reader so scanning does not issue a
-// syscall per record.
-type segReader struct {
-	f   vfs.File
-	buf [64 << 10]byte
-	r   int
-	n   int
-}
-
-func newSegReader(f vfs.File) *segReader { return &segReader{f: f} }
-
-func (s *segReader) Read(p []byte) (int, error) {
-	if s.r == s.n {
-		n, err := s.f.Read(s.buf[:])
-		if n == 0 {
-			return 0, err
-		}
-		s.r, s.n = 0, n
-	}
-	n := copy(p, s.buf[s.r:s.n])
-	s.r += n
-	return n, nil
 }

@@ -84,9 +84,6 @@ type Options struct {
 	// retry attempts (0 selects DefaultRetryBase / DefaultRetryMaxDelay).
 	RetryBase     time.Duration
 	RetryMaxDelay time.Duration
-	// RetrySeed seeds the backoff jitter (0 selects 1; any fixed seed gives
-	// a deterministic schedule).
-	RetrySeed int64
 	// OnStateChange, when non-nil, is invoked on every health state
 	// transition. It runs with the WAL mutex held and must not block or
 	// call back into the WAL — a non-blocking channel send is the intended
@@ -112,8 +109,8 @@ type ScanResult struct {
 	SegmentsDropped int
 	// TornSegments counts segments cut at a torn tail (a record that simply
 	// ran out of bytes — the expected crash signature); CorruptSegments
-	// counts segments cut at actual corruption (bad length, CRC, decode or
-	// sequence with the bytes present).
+	// counts segments cut at actual corruption (bad length, CRC or decode
+	// with the bytes present).
 	TornSegments    int
 	CorruptSegments int
 	// TmpFilesRemoved counts stale checkpoint temp files swept at Open
@@ -165,14 +162,16 @@ type WAL struct {
 
 	stateA    atomic.Int32
 	lastFault atomic.Pointer[error]
-	ackedA    atomic.Uint64 // replication quorum-acked watermark (SetAckedSeq)
 }
 
 // Open opens (creating if needed) the WAL in dir, validating every segment
 // from the front: the first corrupt or torn record truncates its segment at
 // that point and discards all later segments, so the surviving log is a
-// clean prefix of what was appended. Stale checkpoint temp files are swept.
-// The returned WAL is ready for Replay and further appends.
+// clean prefix of what was appended. A valid record out of its segment's
+// sequence order (see scanSegment) is refused instead: Open returns an error
+// naming the segment and both sequences, and changes no file. Stale
+// checkpoint temp files are swept. The returned WAL is ready for Replay and
+// further appends.
 func Open(dir string, opt Options) (*WAL, ScanResult, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = 64 << 20
@@ -189,9 +188,6 @@ func Open(dir string, opt Options) (*WAL, ScanResult, error) {
 	if opt.RetryMaxDelay <= 0 {
 		opt.RetryMaxDelay = DefaultRetryMaxDelay
 	}
-	if opt.RetrySeed == 0 {
-		opt.RetrySeed = 1
-	}
 	fsys := opt.FS
 	if fsys == nil {
 		fsys = vfs.OS{}
@@ -199,46 +195,61 @@ func Open(dir string, opt Options) (*WAL, ScanResult, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, ScanResult{}, fmt.Errorf("wal: %w", err)
 	}
+	segs, err := listSegments(fsys, dir)
+	if err != nil {
+		return nil, ScanResult{}, err
+	}
+	// Validate before repairing anything, so a refused directory is left
+	// exactly as it was. The scan stops at the first segment cut short: the
+	// log is a prefix of what was appended, so nothing after it is used.
+	scans := make([]segScan, 0, len(segs))
+	for _, sg := range segs {
+		sc, err := scanSegment(fsys, sg.path, sg.firstSeq, opt.SparseSeq, nil)
+		if err != nil {
+			return nil, ScanResult{}, err
+		}
+		if sc.end == endOrder {
+			return nil, ScanResult{}, orderError(sc, opt.SparseSeq)
+		}
+		scans = append(scans, sc)
+		if sc.end != endClean {
+			break
+		}
+	}
 	var res ScanResult
 	swept, err := sweepTmp(fsys, dir)
 	if err != nil {
 		return nil, ScanResult{}, err
 	}
 	res.TmpFilesRemoved = swept
-	segs, err := listSegments(fsys, dir)
-	if err != nil {
-		return nil, ScanResult{}, err
-	}
-	valid := segs[:0]
-	for i := range segs {
-		info, torn, reason, err := scanSegment(fsys, segs[i].path, segs[i].firstSeq, opt.SparseSeq, nil)
-		if err != nil {
-			return nil, ScanResult{}, err
-		}
-		tornTail := false
-		if fi, err := fsys.Stat(segs[i].path); err == nil && fi.Size() > torn {
+	var valid []segmentInfo
+	for i, sc := range scans {
+		if sc.end != endClean {
 			// Torn or corrupt tail: truncate to the last valid record.
-			res.TruncatedBytes += fi.Size() - torn
-			if err := fsys.Truncate(segs[i].path, torn); err != nil {
+			fi, err := fsys.Stat(sc.info.path)
+			if err != nil {
+				return nil, ScanResult{}, fmt.Errorf("wal: %w", err)
+			}
+			res.TruncatedBytes += fi.Size() - sc.info.size
+			if err := fsys.Truncate(sc.info.path, sc.info.size); err != nil {
 				return nil, ScanResult{}, fmt.Errorf("wal: truncate torn tail: %w", err)
 			}
-			tornTail = true
-			if reason == endCorrupt {
+			if sc.end == endCorrupt {
 				res.CorruptSegments++
 			} else {
 				res.TornSegments++
 			}
 		}
-		if info.records > 0 {
-			valid = append(valid, info)
-			res.Records += info.records
-			res.NextSeq = info.lastSeq + 1
+		if sc.info.records > 0 {
+			valid = append(valid, sc.info)
+			res.Records += sc.info.records
+			res.NextSeq = sc.info.lastSeq + 1
 			res.HasRecords = true
-		} else if err := fsys.Remove(segs[i].path); err != nil {
+		} else if err := fsys.Remove(sc.info.path); err != nil {
 			// A segment with no valid records carries no information.
 			return nil, ScanResult{}, fmt.Errorf("wal: %w", err)
 		}
-		if tornTail {
+		if sc.end != endClean {
 			// Everything after the torn point is untrustworthy: discard the
 			// remaining segments so the log stays a clean prefix.
 			for _, later := range segs[i+1:] {
@@ -247,7 +258,6 @@ func Open(dir string, opt Options) (*WAL, ScanResult, error) {
 				}
 				res.SegmentsDropped++
 			}
-			break
 		}
 	}
 	w := &WAL{
@@ -255,8 +265,8 @@ func Open(dir string, opt Options) (*WAL, ScanResult, error) {
 		opt:  opt,
 		met:  opt.Metrics,
 		fs:   fsys,
-		rng:  rand.New(rand.NewSource(opt.RetrySeed)),
-		segs: append([]segmentInfo(nil), valid...),
+		rng:  rand.New(rand.NewSource(1)),
+		segs: valid,
 	}
 	if w.met == nil {
 		w.met = new(Metrics)
@@ -291,6 +301,19 @@ func Open(dir string, opt Options) (*WAL, ScanResult, error) {
 	return w, res, nil
 }
 
+// orderError is Open's refusal of a segment whose valid record breaks the
+// sequence order: the bytes are intact, so truncating them would destroy a
+// log that is only being read with the wrong settings.
+func orderError(sc segScan, sparse bool) error {
+	if sc.info.records == 0 {
+		return fmt.Errorf("wal: segment %s: first record has sequence %d, its name says %d; refusing to open", sc.info.path, sc.seq, sc.info.firstSeq)
+	}
+	if sparse {
+		return fmt.Errorf("wal: segment %s: record %d follows record %d; refusing to open", sc.info.path, sc.seq, sc.info.lastSeq)
+	}
+	return fmt.Errorf("wal: segment %s: record %d follows record %d in a dense log (a shard member's log?); refusing to open", sc.info.path, sc.seq, sc.info.lastSeq)
+}
+
 // sweepTmp removes stale checkpoint temp files (ckpt-*.ckpt.tmp): debris
 // from an install that crashed or failed before its atomic rename.
 func sweepTmp(fsys vfs.FS, dir string) (int, error) {
@@ -310,71 +333,6 @@ func sweepTmp(fsys vfs.FS, dir string) (int, error) {
 		removed++
 	}
 	return removed, nil
-}
-
-// Replay streams every valid record with sequence >= from, in order, to fn.
-// Records below from (already covered by a checkpoint) are skipped. fn's
-// Record aliases a scratch buffer; it must copy what it retains. Returns the
-// number of records delivered.
-func (w *WAL) Replay(from uint64, fn func(Record) error) (uint64, error) {
-	segs, err := w.replaySegments(from)
-	if err != nil {
-		return 0, err
-	}
-	return w.replaySerial(segs, from, nil, fn)
-}
-
-// replaySegments is the prologue of Replay and ReplayParallel: it flushes
-// pending appends so the files hold every one of them, finalizes the active
-// segment's metadata so it is not skipped as empty, and returns the
-// segments holding records at or past from.
-func (w *WAL) replaySegments(from uint64) ([]segmentInfo, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return nil, w.err
-	}
-	if w.State() != StateDegraded {
-		if err := w.writePendingOnceLocked(); err != nil {
-			if err = w.failLocked("replay", err, opFlush); err != nil {
-				return nil, err
-			}
-		}
-	}
-	w.segMetaLocked()
-	var segs []segmentInfo
-	for _, sg := range w.segs {
-		if sg.records > 0 && sg.lastSeq >= from {
-			segs = append(segs, sg)
-		}
-	}
-	return segs, nil
-}
-
-// replaySerial streams the records of segs with sequence >= from to fn
-// straight from the scanner, one segment after the other. prog, when
-// non-nil, is updated live.
-func (w *WAL) replaySerial(segs []segmentInfo, from uint64, prog *ReplayProgress, fn func(Record) error) (uint64, error) {
-	var n uint64
-	for _, sg := range segs {
-		_, _, _, err := scanSegment(w.fs, sg.path, sg.firstSeq, w.opt.SparseSeq, func(rec Record) error {
-			if rec.Seq < from {
-				return nil
-			}
-			n++
-			if prog != nil {
-				prog.records.Add(1)
-			}
-			return fn(rec)
-		})
-		if prog != nil {
-			prog.segDone.Add(1)
-		}
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 // AlignTo prepares the WAL for appends starting at seq. When the log's tail

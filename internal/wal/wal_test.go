@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,7 +50,7 @@ func appendN(t *testing.T, w *WAL, seq uint64, n, dims, commitEvery int, rngSeed
 func replayAll(t *testing.T, w *WAL, from uint64) []Record {
 	t.Helper()
 	var out []Record
-	if _, err := w.Replay(from, func(r Record) error {
+	if _, err := w.Replay(from, nil, func(r Record) error {
 		r.Point = append([]float64(nil), r.Point...)
 		out = append(out, r)
 		return nil
@@ -68,9 +70,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		if len(buf) != recordLen(dims) {
 			t.Fatalf("record length %d, want %d", len(buf), recordLen(dims))
 		}
-		rec, _, err := decodeRecord(buf[recHdrLen:], nil)
-		if err != nil {
-			t.Fatal(err)
+		var scratch []float64
+		rec, size, end := parseFrame(buf, &scratch)
+		if end != endClean || size != len(buf) {
+			t.Fatalf("parse: %v, size %d of %d", end, size, len(buf))
 		}
 		if rec.Seq != uint64(i) || rec.Prob != p || rec.TS != ts {
 			t.Fatalf("round trip mismatch: %+v", rec)
@@ -291,6 +294,97 @@ func TestMidLogCorruption(t *testing.T) {
 	}
 	if res.TruncatedBytes == 0 {
 		t.Fatalf("scan should report truncated bytes: %+v", res)
+	}
+}
+
+// dirFiles reads every file in dir, keyed by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
+}
+
+// TestOpenRefusesOutOfOrder opens a sparse log (a shard member's shape) as a
+// dense one. Its records are intact, so the first sequence gap is not a
+// crash artifact: Open must refuse with an error naming the segment and both
+// sequences, and leave every file as it was, where truncating there would
+// destroy the log. A segment renamed away from its first record is refused
+// the same way. Opened as sparse, the log is whole.
+func TestOpenRefusesOutOfOrder(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{Fsync: FsyncNever, SegmentBytes: 1 << 10, SparseSeq: true}
+	w, _, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for seq := uint64(0); seq < 120; seq += 1 + uint64(rng.Intn(3)) {
+		pt, p, ts := testElem(rng, 2)
+		if err := w.AppendElement(seq, pt, p, ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := WriteCheckpoint(vfs.OS{}, dir, 60, func(io.Writer) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-00000000000000000099.ckpt.tmp"), []byte("debris"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := dirFiles(t, dir)
+	if _, _, err := Open(dir, Options{Fsync: FsyncNever}); err == nil || !strings.Contains(err.Error(), segmentName(0)) || !strings.Contains(err.Error(), "follows record") {
+		t.Fatalf("sparse log opened as dense: err = %v, want a refusal naming %s", err, segmentName(0))
+	}
+	if got := dirFiles(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("a refused Open changed the directory")
+	}
+
+	segs, err := listSegments(vfs.OS{}, dir)
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("want >= 2 segments, got %d (%v)", len(segs), err)
+	}
+	moved := filepath.Join(dir, segmentName(segs[1].firstSeq-1))
+	if err := os.Rename(segs[1].path, moved); err != nil {
+		t.Fatal(err)
+	}
+	want = dirFiles(t, dir)
+	if _, _, err := Open(dir, opt); err == nil || !strings.Contains(err.Error(), "its name says") {
+		t.Fatalf("misnamed segment: err = %v, want a refusal", err)
+	}
+	if got := dirFiles(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatal("a refused Open changed the directory")
+	}
+	if err := os.Rename(moved, segs[1].path); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, res, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if res.TruncatedBytes != 0 || res.CorruptSegments != 0 || res.TmpFilesRemoved != 1 {
+		t.Fatalf("sparse reopen: %+v", res)
+	}
+	recs := replayAll(t, w2, 0)
+	if uint64(len(recs)) != res.Records || recs[len(recs)-1].Seq != res.NextSeq-1 {
+		t.Fatalf("sparse reopen replayed %d records, scan %+v", len(recs), res)
 	}
 }
 

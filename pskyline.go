@@ -217,7 +217,7 @@ type Monitor struct {
 	aq *asyncQueue // nil when Options.AsyncQueue == 0
 
 	// Durability (nil wal when disabled). dur holds the normalized options;
-	// ckptSince and ckptSeq are checkpoint bookkeeping under mu; replaying
+	// ckptSince counts elements toward the next checkpoint under mu; replaying
 	// suppresses callbacks while recovery re-ingests the log tail; walErr
 	// latches the first unrecoverable durability failure so every later
 	// write fails fast. fsys is the filesystem seam shared by the WAL and
@@ -229,7 +229,6 @@ type Monitor struct {
 	fsys      vfs.FS
 	walPol    wal.Policy
 	ckptSince int
-	ckptSeq   uint64
 	replaying bool
 	recovery  RecoveryInfo
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Recovery-reopen benchmark smoke: seeds a durable window on disk, then
-# reopens it through the parallel-decode + STR bulk-load recovery path,
-# asserting the row completes and lands in the trajectory file. Run from the
-# repo root (`make bench-recovery`).
+# reopens it through the STR bulk-load recovery path (a clean shutdown, so
+# the serial log replay delivers no record), asserting the row completes and
+# lands in the trajectory file. Run from the repo root
+# (`make bench-recovery`).
 set -euo pipefail
 
 GO=${GO:-go}
