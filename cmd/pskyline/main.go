@@ -15,9 +15,9 @@
 //
 // -http ADDR serves the monitor's observability endpoints while the stream
 // flows: /metrics (Prometheus), /healthz, /buildinfo, /debug/skyline (current
-// skyline + recent transitions), /debug/flight (flight-recorder span dump),
-// /debug/vars (JSON metrics) and /debug/pprof. With -http the process stays
-// up after the input ends, still serving, until SIGINT/SIGTERM. -summary
+// skyline + recent transitions), /debug/flight (flight-recorder span dump)
+// and /debug/pprof. With -http the process stays up after the input ends,
+// still serving, until SIGINT/SIGTERM. -summary
 // additionally prints the work counters, per-stage latency quantiles, and the
 // ingest-to-visibility latency block at exit.
 //
@@ -33,15 +33,15 @@
 // log tail before reading new input. -wal-fsync picks the commit durability
 // policy (always|interval|never). With -http, the server comes up before
 // recovery starts and answers 503 {"status":"recovering"} until replay
-// completes, so readiness probes hold traffic during long replays. -wal and
-// -checkpoint are mutually exclusive (the WAL directory subsumes the
-// single-file checkpoint).
+// completes, so readiness probes hold traffic during long replays. -wal is
+// also how a session is resumed: rerun with the same -wal DIR (and the same
+// -dims, -window/-period and -q) and the stream continues where it stopped.
 //
 // -shards N partitions the window across N single-writer engines behind one
 // exact merged query surface (see DESIGN.md §13); -router picks the
 // partitioning scheme. Sharding composes with -batch, -async, -wal (each
-// shard gets its own WAL namespace under DIR) and -http, but not with
-// -checkpoint or the default event mode (use -summary or -snapshot).
+// shard gets its own WAL namespace under DIR) and -http, but not with the
+// default event mode (use -summary or -snapshot).
 //
 // -streams runs the process as a multi-tenant host instead: each
 // ";"-separated spec (name:dims=..,window=..,q=..[,shards=..][,wal=on],...)
@@ -88,7 +88,6 @@ type config struct {
 	snapshot    int
 	summary     bool
 	file        string
-	ckpt        string
 	batch       int
 	async       int
 	httpAddr    string
@@ -129,7 +128,6 @@ func main() {
 		snapshot = flag.Int("snapshot", 0, "print a skyline snapshot every N elements instead of events")
 		summary  = flag.Bool("summary", false, "print only final statistics")
 		file     = flag.String("f", "", "input file (default stdin)")
-		ckpt     = flag.String("checkpoint", "", "checkpoint file: loaded at start if present (with the same -dims, -window/-period and -q), written at exit")
 		batch    = flag.Int("batch", 1, "ingest the stream in batches of this many elements")
 		async    = flag.Int("async", 0, "route ingestion through a bounded async queue of this capacity (0 = synchronous)")
 		asyncPol = flag.String("async-policy", "block", "full async queue response: block (backpressure), drop-newest or drop-oldest")
@@ -172,7 +170,7 @@ func main() {
 
 	cfg := config{
 		dims: *dims, window: *window, period: *period, thresholds: thresholds,
-		snapshot: *snapshot, summary: *summary, file: *file, ckpt: *ckpt,
+		snapshot: *snapshot, summary: *summary, file: *file,
 		batch: *batch, async: *async, asyncPolicy: *asyncPol, httpAddr: *httpAddr,
 		shards: *shards, router: *router, streams: *streams,
 		slowThreshold: *slowThr, latencyEpoch: *latEpoch,
@@ -190,8 +188,7 @@ func main() {
 
 // options builds the monitor Options every mode starts from: the
 // dimensionality, window and thresholds, the async queue and its policy,
-// latency tracking and — with -wal — durability. A -checkpoint resume passes
-// the same Options to RestoreMonitor, which checks them against the file.
+// latency tracking and — with -wal — durability.
 func (cfg config) options() (pskyline.Options, error) {
 	pol, err := pskyline.ParseOverloadPolicy(cfg.asyncPolicy)
 	if err != nil {
@@ -221,9 +218,10 @@ func (cfg config) options() (pskyline.Options, error) {
 	return opt, nil
 }
 
-// run executes one streaming session: restore-or-create the monitor, feed
-// the input through it (optionally batched and/or async), serve snapshot
-// prints from the published view, and checkpoint at exit.
+// run executes one streaming session: create (or, with -wal, recover) the
+// monitor, feed the input through it (optionally batched and/or async),
+// serve snapshot prints from the published view, and, with -wal, checkpoint
+// at exit.
 func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 	if cfg.promote != "" {
 		return runPromote(cfg.promote, out)
@@ -260,17 +258,11 @@ func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 	if cfg.batch < 1 {
 		return fmt.Errorf("batch size %d < 1", cfg.batch)
 	}
-	if cfg.walDir != "" && cfg.ckpt != "" {
-		return fmt.Errorf("-wal and -checkpoint are mutually exclusive: the WAL directory subsumes the single-file checkpoint")
-	}
 	if cfg.shards == 0 {
 		cfg.shards = 1
 	}
 	if cfg.shards < 1 {
 		return fmt.Errorf("shard count %d < 1", cfg.shards)
-	}
-	if cfg.shards > 1 && cfg.ckpt != "" {
-		return fmt.Errorf("-shards and -checkpoint are mutually exclusive: sharded state checkpoints through -wal")
 	}
 	opt, err := cfg.options()
 	if err != nil {
@@ -315,44 +307,25 @@ func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 
 	// m is the stream operator: a single *Monitor, or a *ShardedMonitor when
 	// -shards > 1. mon is the concrete monitor in single-engine mode, for the
-	// monitor-only surfaces (-checkpoint snapshots, the -summary metrics
-	// block).
+	// monitor-only surfaces (replication, the -summary metrics block).
 	var (
 		m   pskyline.Operator
 		mon *pskyline.Monitor
 	)
-	if cfg.shards == 1 && cfg.ckpt != "" {
-		if f, ferr := os.Open(cfg.ckpt); ferr == nil {
-			mon, err = pskyline.RestoreMonitor(f, opt)
-			f.Close()
-			if err != nil {
-				return fmt.Errorf("restore %s: %v", cfg.ckpt, err)
-			}
-			fmt.Fprintf(errw, "pskyline: resumed from %s (%d elements seen)\n",
-				cfg.ckpt, mon.Stats().Processed)
-			m = mon
-		}
-	}
-	if m == nil && cfg.shards > 1 {
+	if cfg.shards > 1 {
 		rt, rerr := parseRouter(cfg.router)
 		if rerr != nil {
 			return rerr
 		}
-		var sm *pskyline.ShardedMonitor
-		sm, err = pskyline.NewSharded(pskyline.ShardedOptions{
+		m, err = pskyline.NewSharded(pskyline.ShardedOptions{
 			Options: opt, Shards: cfg.shards, Router: rt,
 		})
-		if err != nil {
-			return err
-		}
-		m = sm
-	}
-	if m == nil {
+	} else {
 		mon, err = pskyline.NewMonitor(opt)
-		if err != nil {
-			return err
-		}
 		m = mon
+	}
+	if err != nil {
+		return err
 	}
 	if rec := m.Recovery(); rec.Recovered {
 		fmt.Fprintf(errw, "pskyline: recovered from %s: checkpoint seq %d + %d replayed records (%d torn bytes truncated, %d segments dropped) in %v\n",
@@ -454,27 +427,16 @@ func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 	}
 	m.Drain()
 	elapsed := time.Since(start)
+	// Everything is drained: one view answers the checkpoint line and the
+	// footer alike.
+	st := m.View().Stats()
 	if cfg.walDir != "" {
 		if err := m.Checkpoint(); err != nil {
 			return fmt.Errorf("checkpoint: %v", err)
 		}
 		fmt.Fprintf(errw, "pskyline: checkpoint installed in %s at seq %d\n",
-			cfg.walDir, m.Stats().Processed)
+			cfg.walDir, st.Processed)
 	}
-	if cfg.ckpt != "" && mon != nil {
-		f, err := os.Create(cfg.ckpt)
-		if err != nil {
-			return fmt.Errorf("checkpoint: %v", err)
-		}
-		if err := mon.Snapshot(f); err != nil {
-			return fmt.Errorf("checkpoint: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("checkpoint: %v", err)
-		}
-		fmt.Fprintf(errw, "pskyline: checkpoint written to %s\n", cfg.ckpt)
-	}
-	st := m.Stats()
 	fmt.Fprintf(out, "processed %d elements in %v (%.0f elems/sec)\n",
 		count, elapsed.Round(time.Millisecond), float64(count)/elapsed.Seconds())
 	fmt.Fprintf(out, "candidates: now %d, max %d; skyline: now %d, max %d\n",
@@ -506,9 +468,6 @@ func run(cfg config, stdin io.Reader, out, errw io.Writer) error {
 func runStreams(cfg config, errw io.Writer) error {
 	if cfg.httpAddr == "" {
 		return fmt.Errorf("-streams requires -http: streams are ingested over HTTP")
-	}
-	if cfg.ckpt != "" {
-		return fmt.Errorf("-streams and -checkpoint are mutually exclusive: durable streams checkpoint through -wal")
 	}
 	specs, err := pskyline.ParseStreamSpecs(cfg.streams)
 	if err != nil {
@@ -550,7 +509,7 @@ func runStreams(cfg config, errw io.Writer) error {
 				fmt.Fprintf(errw, "pskyline: stream %s: checkpoint: %v\n", name, err)
 			} else {
 				fmt.Fprintf(errw, "pskyline: stream %s: checkpoint installed at seq %d\n",
-					name, op.Stats().Processed)
+					name, op.View().Processed())
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -91,24 +90,24 @@ func finalSizes(t *testing.T, out string) (cand, sky int) {
 	return 0, 0
 }
 
-// TestRunCheckpointRoundTrip proves that interrupting a session with a
-// checkpoint and resuming it — with different batching and async settings —
-// produces exactly the same event stream and final skyline state as one
-// uninterrupted run.
+// TestRunCheckpointRoundTrip proves that interrupting a -wal session (which
+// checkpoints at clean exit) and resuming it from the same directory — with
+// different batching and async settings — produces exactly the same event
+// stream and final skyline state as one uninterrupted run.
 func TestRunCheckpointRoundTrip(t *testing.T) {
 	const n = 1200
 	lines := genCSV(3, n)
-	base := config{dims: 2, window: 300, thresholds: []float64{0.3}, batch: 1}
+	base := config{dims: 2, window: 300, thresholds: []float64{0.3}, batch: 1, walFsync: "never"}
 
 	full := runSession(t, base, lines)
 
-	ck := filepath.Join(t.TempDir(), "ck.gob")
+	dir := t.TempDir()
 	first := base
-	first.ckpt = ck
+	first.walDir = dir
 	out1 := runSession(t, first, lines[:n/2])
 
 	second := base
-	second.ckpt = ck
+	second.walDir = dir
 	second.batch = 7
 	second.async = 16
 	out2 := runSession(t, second, lines[n/2:])
@@ -135,16 +134,16 @@ func TestRunCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointResumeOptions: a -checkpoint resume builds its monitor
-// from the same flags as a fresh session — it keeps the latency settings —
-// and a resume whose -window or -q disagrees with the checkpoint fails with
-// an error naming the mismatch instead of running on with the file's.
+// TestRunCheckpointResumeOptions: a -wal resume builds its monitor from the
+// same flags as a fresh session — it keeps the latency settings — and a
+// resume whose -window or -q disagrees with the checkpoint fails with an
+// error naming the mismatch instead of running on with the directory's.
 func TestRunCheckpointResumeOptions(t *testing.T) {
 	lines := genCSV(17, 2000)
 	cfg := config{
 		dims: 2, window: 500, thresholds: []float64{0.3}, batch: 1, summary: true,
 		slowThreshold: time.Nanosecond, latencyEpoch: 2 * time.Second,
-		ckpt: filepath.Join(t.TempDir(), "ck.gob"),
+		walDir: t.TempDir(), walFsync: "never",
 	}
 	runSession(t, cfg, lines[:1000])
 	out := runSession(t, cfg, lines[1000:])

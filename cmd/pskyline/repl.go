@@ -169,7 +169,7 @@ func runReplica(cfg config, errw io.Writer) error {
 	if cfg.replListen != "" {
 		return fmt.Errorf("-replica-of and -replicate-listen are mutually exclusive")
 	}
-	if cfg.streams != "" || cfg.ckpt != "" {
+	if cfg.streams != "" {
 		return fmt.Errorf("-replica-of composes only with -wal and -http")
 	}
 	if cfg.shards > 1 {

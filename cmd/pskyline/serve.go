@@ -87,7 +87,6 @@ func (h *monitorHandle) ready(w http.ResponseWriter) (pskyline.Operator, bool) {
 //	                recent-transition trace), JSON
 //	/debug/flight   flight recorder dump: recent write spans + latched slow
 //	                spans with per-stage breakdowns, JSON
-//	/debug/vars     all metrics as one expvar-style JSON object
 //	/debug/pprof/   the standard runtime profiles
 func newServeMux(h *monitorHandle, rs *replState) *http.ServeMux {
 	mux := http.NewServeMux()
@@ -166,14 +165,6 @@ func newServeMux(h *monitorHandle, rs *replState) *http.ServeMux {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(flightJSON(m.Flight()))
 	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		m, ok := h.ready(w)
-		if !ok {
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		m.WriteMetricsJSON(w)
-	})
 	addBuildinfo(mux)
 	addPprof(mux)
 	return mux
@@ -223,7 +214,7 @@ func operatorHealth(m pskyline.Operator) map[string]any {
 			body["queue_dropped"] = met.QueueDropped
 		}
 	default:
-		st := m.Stats()
+		st := m.View().Stats()
 		body["processed"] = st.Processed
 		body["skyline"] = st.Skyline
 		body["candidates"] = st.Candidates
@@ -263,17 +254,12 @@ func operatorHealth(m pskyline.Operator) map[string]any {
 //	                        stricter registered threshold
 //	/streams/{name}/flight  GET: the stream's flight recorder dump
 //	/buildinfo              build metadata (VCS revision, Go version)
-//	/debug/vars             all metrics as one JSON object
 //	/debug/pprof/           the standard runtime profiles
 func newRegistryMux(reg *pskyline.StreamRegistry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		reg.WriteMetricsJSON(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		streams := map[string]any{}
@@ -309,7 +295,7 @@ func newRegistryMux(reg *pskyline.StreamRegistry) *http.ServeMux {
 				continue
 			}
 			cfg, _ := reg.Config(name)
-			st := op.Stats()
+			st := op.View().Stats()
 			out = append(out, streamJSON{
 				Name: name, Shards: cfg.Shards,
 				Processed: st.Processed, Skyline: st.Skyline,
@@ -331,27 +317,26 @@ func newRegistryMux(reg *pskyline.StreamRegistry) *http.ServeMux {
 		if !ok {
 			return
 		}
-		var (
-			sky []pskyline.SkyPoint
-			err error
-		)
+		// One view answers both fields, so the skyline is the one at the
+		// reported stream position.
+		v := op.View()
+		var sky []pskyline.SkyPoint
 		if qs := r.URL.Query().Get("q"); qs != "" {
-			q, perr := strconv.ParseFloat(qs, 64)
-			if perr != nil {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("bad q: %v", perr))
+			q, err := strconv.ParseFloat(qs, 64)
+			if err != nil {
+				httpError(w, http.StatusBadRequest, fmt.Sprintf("bad q: %v", err))
 				return
 			}
-			sky, err = op.Query(q)
-			if err != nil {
+			if sky, err = v.Query(q); err != nil {
 				httpError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 		} else {
-			sky = op.Skyline()
+			sky = v.Skyline()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
-			"processed": op.Stats().Processed,
+			"processed": v.Processed(),
 			"skyline":   skylineJSON(sky),
 		})
 	})

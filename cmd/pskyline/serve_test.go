@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,13 +120,14 @@ func TestServeMuxEndpoints(t *testing.T) {
 		t.Errorf("/debug/skyline reports %d points, Stats says %d", len(d.Skyline), m.Stats().Skyline)
 	}
 
-	vars, _ := get(t, srv, "/debug/vars")
-	var v map[string]any
-	if err := json.Unmarshal([]byte(vars), &v); err != nil {
-		t.Fatalf("/debug/vars invalid JSON: %v", err)
+	// /metrics is the one metrics export.
+	resp, err := srv.Client().Get(srv.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v["pskyline_pushes_total"].(float64) != 800 {
-		t.Errorf("/debug/vars pushes = %v", v["pskyline_pushes_total"])
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: status %d, want 404", resp.StatusCode)
 	}
 
 	if idx, _ := get(t, srv, "/debug/pprof/"); !strings.Contains(idx, "goroutine") {
@@ -185,6 +188,110 @@ func TestRegistryMuxSkylineQuery(t *testing.T) {
 	}
 }
 
+// TestRegistryMuxSkylineOneView: a skyline answer and the stream position
+// reported beside it come from one view. Each pushed element is certain and
+// dominates every earlier one, so after n pushes the skyline is exactly
+// {seq n−1}; GETs racing a continuous writer must never pair a skyline with
+// another view's position.
+func TestRegistryMuxSkylineOneView(t *testing.T) {
+	reg := pskyline.NewStreamRegistry(pskyline.Durability{})
+	defer reg.CloseAll()
+	specs, err := pskyline.ParseStreamSpecs("hot:dims=2,window=100,q=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := reg.Open(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := newRegistryMux(reg)
+
+	stop := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				writerDone <- nil
+				return
+			default:
+			}
+			x := 1e6 - float64(i)
+			if _, err := op.Push(pskyline.Element{Point: []float64{x, x}, Prob: 1}); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+	}()
+
+	type answer struct {
+		Processed uint64         `json:"processed"`
+		Skyline   []skyPointJSON `json:"skyline"`
+	}
+	getSkyline := func() (answer, error) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/streams/hot/skyline", nil))
+		var a answer
+		if rec.Code != http.StatusOK {
+			return a, fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+		}
+		return a, json.Unmarshal(rec.Body.Bytes(), &a)
+	}
+	// consistent reports whether one skyline answer matches its position.
+	consistent := func(a answer) bool {
+		if a.Processed == 0 {
+			return len(a.Skyline) == 0
+		}
+		return len(a.Skyline) == 1 && a.Skyline[0].Seq == a.Processed-1
+	}
+
+	const readers, perReader = 4, 500
+	var (
+		wg         sync.WaitGroup
+		mismatches atomic.Int64
+		firstBad   atomic.Pointer[answer]
+		readErr    atomic.Pointer[error]
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perReader; i++ {
+				a, err := getSkyline()
+				if err != nil {
+					readErr.CompareAndSwap(nil, &err)
+					return
+				}
+				if !consistent(a) {
+					mismatches.Add(1)
+					firstBad.CompareAndSwap(nil, &a)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+	if p := readErr.Load(); p != nil {
+		t.Fatal(*p)
+	}
+	if n := mismatches.Load(); n > 0 {
+		a := firstBad.Load()
+		t.Fatalf("%d of %d answers paired a skyline with another view's position; first: processed %d, skyline %+v",
+			n, readers*perReader, a.Processed, a.Skyline)
+	}
+	// At rest the same condition must hold, with the writer having moved.
+	a, err := getSkyline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Processed == 0 || !consistent(a) {
+		t.Fatalf("final answer: processed %d, skyline %+v", a.Processed, a.Skyline)
+	}
+}
+
 // TestServeMuxRecovering verifies the pre-recovery state: with no monitor in
 // the handle yet, every data endpoint answers 503 {"status":"recovering"},
 // and flipping the handle to a live monitor switches /healthz to "serving".
@@ -193,7 +300,7 @@ func TestServeMuxRecovering(t *testing.T) {
 	srv := httptest.NewServer(newServeMux(h, nil))
 	defer srv.Close()
 
-	for _, path := range []string{"/healthz", "/metrics", "/debug/skyline", "/debug/vars"} {
+	for _, path := range []string{"/healthz", "/metrics", "/debug/skyline"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)

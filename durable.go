@@ -180,9 +180,10 @@ type RecoveryInfo struct {
 // duplicates do not matter). AddThreshold and RemoveThreshold are not
 // logged either: a checkpoint records the threshold set current when it was
 // taken, so a directory whose thresholds changed reopens with that set, and
-// Open must be passed it rather than the original one. MaxEntries (the
-// R-tree shape) is taken from the checkpoint; the option applies to a fresh
-// directory. A sharded stream's member directory (<dir>/shard-NNN) opened
+// Open must be passed it rather than the original one. The R-tree fanout
+// is the one the checkpoint records (a fresh directory starts at the
+// default); a checkpoint recording one out of range is an error. A sharded
+// stream's member directory (<dir>/shard-NNN) opened
 // as a standalone monitor is refused without touching any file: its log
 // skips the other shards' sequences, and a valid record out of sequence
 // order is an error, never a torn tail to truncate.

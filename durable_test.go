@@ -674,7 +674,7 @@ func TestOpenShardMemberStandalone(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sm.Close()
-			if got := sm.Stats().Processed; got != 400 {
+			if got := sm.View().Stats().Processed; got != 400 {
 				t.Fatalf("sharded stream reopened at %d of 400 elements", got)
 			}
 		})

@@ -74,13 +74,11 @@ func (n *Node) blockRemove(i, m int) {
 
 // Block exposes the leaf's coordinate lanes for block-kernel scans: lane d
 // covers lanes[d*stride : d*stride+len(Items())]. The caller must not
-// mutate the slice, and must fall back to per-item scans when ok is false
-// (block wider than a kernel mask, or not yet materialized).
-func (n *Node) Block() (lanes []float64, stride int, ok bool) {
-	if n.blk == nil || len(n.items) > 64 {
-		return nil, 0, false
-	}
-	return n.blk, n.blkStride, true
+// mutate the slice. A leaf that never held an item has nil lanes and stride
+// 0, which scan as an empty block. New caps the fanout so that a leaf,
+// overflow item included, never outgrows one kernel mask.
+func (n *Node) Block() (lanes []float64, stride int) {
+	return n.blk, n.blkStride
 }
 
 // blockPoison clobbers the lane storage of a freed node so a stale scan

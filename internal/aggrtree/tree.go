@@ -10,10 +10,15 @@ import (
 // DefaultMaxEntries is the default node fanout.
 const DefaultMaxEntries = 12
 
+// maxFanout is the largest MaxEntries a tree accepts: between an insertion
+// and the split it triggers a leaf holds MaxEntries+1 items, and a leaf must
+// fit one block-kernel mask of geom.BlockMaxItems bits.
+const maxFanout = geom.BlockMaxItems - 1
+
 // Config controls tree shape.
 type Config struct {
-	// MaxEntries is the maximum fanout of a node; the minimum fill is 40%
-	// of it. Zero selects DefaultMaxEntries.
+	// MaxEntries is the maximum fanout of a node, in [4, maxFanout]; the
+	// minimum fill is 40% of it. Zero selects DefaultMaxEntries.
 	MaxEntries int
 	// NodePool, when non-nil, recycles nodes the tree sheds instead of
 	// leaving them to the GC. Trees that exchange entries (the engine's
@@ -66,8 +71,8 @@ func New(dims int, cfg Config) *Tree {
 	if max == 0 {
 		max = DefaultMaxEntries
 	}
-	if max < 4 {
-		panic("aggrtree: MaxEntries must be >= 4")
+	if max < 4 || max > maxFanout {
+		panic(fmt.Sprintf("aggrtree: MaxEntries %d out of [4, %d]", max, maxFanout))
 	}
 	min := max * 2 / 5
 	if min < 1 {

@@ -288,6 +288,7 @@ func TestConfigValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(0, Config{}) },
 		func() { New(2, Config{MaxEntries: 2}) },
+		func() { New(2, Config{MaxEntries: 64}) },
 	} {
 		func() {
 			defer func() {

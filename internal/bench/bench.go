@@ -57,7 +57,6 @@ type Config struct {
 	Window     int
 	Thresholds []float64
 	Seed       int64
-	MaxEntries int
 }
 
 // batchSize is the measurement granularity: like the paper, per-element
@@ -92,7 +91,6 @@ func Run(cfg Config) Outcome {
 		Dims:       cfg.Dataset.Dims,
 		Window:     cfg.Window,
 		Thresholds: cfg.Thresholds,
-		MaxEntries: cfg.MaxEntries,
 	})
 	if err != nil {
 		panic(err)

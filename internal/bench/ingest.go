@@ -107,13 +107,11 @@ func ingestResult(name string, r testing.BenchmarkResult) IngestWorkload {
 // element. Stage metrics are enabled — the recorded trajectory measures the
 // instrumented configuration, the one production deployments run; the
 // `nometrics` row re-measures the d=3 workload with timing disabled so the
-// instrumentation overhead is an explicit same-machine diff, and the
-// `blockoff` row re-measures it with the SoA block leaf scans disabled so
-// the cache-layout win is one too.
-func benchEnginePush(dims, window int, thresholds []float64, withMetrics, blockOff bool) testing.BenchmarkResult {
+// instrumentation overhead is an explicit same-machine diff.
+func benchEnginePush(dims, window int, thresholds []float64, withMetrics bool) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
-		opt := core.Options{Dims: dims, Window: window, Thresholds: thresholds, DisableBlockScan: blockOff}
+		opt := core.Options{Dims: dims, Window: window, Thresholds: thresholds}
 		if withMetrics {
 			opt.Metrics = new(core.Metrics)
 		}
@@ -297,12 +295,11 @@ func Ingest(cfg IngestConfig, w io.Writer) IngestRun {
 	}
 	if !cfg.RecoverOnly {
 		for _, d := range []int{2, 3, 5} {
-			add(fmt.Sprintf("push/d=%d/q=%.1f", d, ingestQ), benchEnginePush(d, window, []float64{ingestQ}, true, false))
+			add(fmt.Sprintf("push/d=%d/q=%.1f", d, ingestQ), benchEnginePush(d, window, []float64{ingestQ}, true))
 		}
-		add("push/d=3/nometrics", benchEnginePush(3, window, []float64{ingestQ}, false, false))
-		add("push/d=3/blockoff", benchEnginePush(3, window, []float64{ingestQ}, true, true))
-		add("push/d=3/q=0.7", benchEnginePush(3, window, []float64{0.7}, true, false))
-		add("push/d=3/k=3", benchEnginePush(3, window, []float64{0.7, 0.5, 0.3}, true, false))
+		add("push/d=3/nometrics", benchEnginePush(3, window, []float64{ingestQ}, false))
+		add("push/d=3/q=0.7", benchEnginePush(3, window, []float64{0.7}, true))
+		add("push/d=3/k=3", benchEnginePush(3, window, []float64{0.7, 0.5, 0.3}, true))
 		add("shardpush/d=3/shards=1/B=512", benchShardedPush(3, window, 1, 512))
 		add("shardpush/d=3/shards=4/B=512", benchShardedPush(3, window, 4, 512))
 		add("expire/d=3", benchExpire(3, window))

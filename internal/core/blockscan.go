@@ -10,67 +10,32 @@ import (
 
 // Leaf scans.
 //
-// The three probe hot loops — marking elements dominated by an arrival,
-// the mutual-dominance probe, and the expiry divisor — each examine every
-// item of a partially overlapping leaf. With the block path enabled they
+// The probe hot loops — marking elements dominated by an arrival, the
+// mutual-dominance probe, the read-only dominator fold and the expiry
+// divisor — each examine every item of a partially overlapping leaf. They
 // run the geom block kernels over the leaf's packed SoA coordinate block
 // (dims sequential lane scans, no per-item pointer chase) and then visit
-// only the mask hits; items are processed in ascending slot order, which is
-// exactly the order of the per-item fallback loops, so probability folds
-// accumulate in the same order and both paths produce bit-identical
-// results. The fallback per-item loops remain for engines constructed with
-// DisableBlockScan (the A/B control) and for leaves wider than a kernel
-// mask.
+// only the mask hits, in ascending slot order, so probability folds
+// accumulate in item order. NewEngine caps the fanout so that a leaf —
+// even holding the transient overflow item between an insertion and its
+// split — always fits one 64-bit mask.
 
 // leafMarkDominated applies the arrival's Pnew multiplier to every leaf item
 // dominated by p, recording the hits in domI. It is the relDom == DomNone
 // arm of probeInsert, where only the dominated side of the test is live.
 func (e *Engine) leafMarkDominated(n *aggrtree.Node, band int, p geom.Point, om prob.Factor, domI *[]itemT) bool {
 	items := n.Items()
-	if e.blockScan {
-		if lanes, stride, ok := n.Block(); ok {
-			mask := e.bkern.DominatesBlock(p, lanes, stride, len(items))
-			hit := mask != 0
-			for mask != 0 {
-				i := bits.TrailingZeros64(mask)
-				mask &= mask - 1
-				x := items[i]
-				x.Pnew = x.Pnew.Times(om)
-				*domI = append(*domI, itemT{x, band})
-			}
-			return hit
-		}
+	lanes, stride := n.Block()
+	mask := e.bkern.DominatesBlock(p, lanes, stride, len(items))
+	hit := mask != 0
+	for mask != 0 {
+		i := bits.TrailingZeros64(mask)
+		mask &= mask - 1
+		x := items[i]
+		x.Pnew = x.Pnew.Times(om)
+		*domI = append(*domI, itemT{x, band})
 	}
-	changed := false
-	// The d = 2/3 arms let the inlinable dominance kernels run without an
-	// indirect call.
-	switch e.dims {
-	case 2:
-		for _, x := range items {
-			if geom.Dominates2(p, x.Point) {
-				x.Pnew = x.Pnew.Times(om)
-				*domI = append(*domI, itemT{x, band})
-				changed = true
-			}
-		}
-	case 3:
-		for _, x := range items {
-			if geom.Dominates3(p, x.Point) {
-				x.Pnew = x.Pnew.Times(om)
-				*domI = append(*domI, itemT{x, band})
-				changed = true
-			}
-		}
-	default:
-		for _, x := range items {
-			if e.kern.Dominates(p, x.Point) {
-				x.Pnew = x.Pnew.Times(om)
-				*domI = append(*domI, itemT{x, band})
-				changed = true
-			}
-		}
-	}
-	return changed
+	return hit
 }
 
 // leafProbeMutual resolves both dominance directions between the arrival
@@ -78,37 +43,20 @@ func (e *Engine) leafMarkDominated(n *aggrtree.Node, band int, p geom.Point, om 
 // pold, items dominated by p take the Pnew multiplier and join domI.
 func (e *Engine) leafProbeMutual(n *aggrtree.Node, band int, p geom.Point, om, pold prob.Factor, domI *[]itemT) (prob.Factor, bool) {
 	items := n.Items()
-	if e.blockScan {
-		if lanes, stride, ok := n.Block(); ok {
-			pDom, domP := e.bkern.MutualBlock(p, lanes, stride, len(items))
-			changed := pDom != 0
-			for u := pDom | domP; u != 0; {
-				i := bits.TrailingZeros64(u)
-				u &= u - 1
-				x := items[i]
-				if domP&(1<<uint(i)) != 0 {
-					pold = pold.Times(x.OneMinusP())
-				} else {
-					x.Pnew = x.Pnew.Times(om)
-					*domI = append(*domI, itemT{x, band})
-				}
-			}
-			return pold, changed
-		}
-	}
-	changed := false
-	for _, x := range items {
-		xDom, newDom := e.kern.Mutual(x.Point, p)
-		switch {
-		case xDom:
+	lanes, stride := n.Block()
+	pDom, domP := e.bkern.MutualBlock(p, lanes, stride, len(items))
+	for u := pDom | domP; u != 0; {
+		i := bits.TrailingZeros64(u)
+		u &= u - 1
+		x := items[i]
+		if domP&(1<<uint(i)) != 0 {
 			pold = pold.Times(x.OneMinusP())
-		case newDom:
+		} else {
 			x.Pnew = x.Pnew.Times(om)
 			*domI = append(*domI, itemT{x, band})
-			changed = true
 		}
 	}
-	return pold, changed
+	return pold, pDom != 0
 }
 
 // foldLeafDominators multiplies into pold the non-occurrence factor of every
@@ -116,38 +64,12 @@ func (e *Engine) leafProbeMutual(n *aggrtree.Node, band int, p geom.Point, om, p
 func (e *Engine) foldLeafDominators(n *aggrtree.Node, p geom.Point, pold prob.Factor) prob.Factor {
 	items := n.Items()
 	e.counters.ItemsTouched += uint64(len(items))
-	if e.blockScan {
-		if lanes, stride, ok := n.Block(); ok {
-			mask := e.bkern.BlockDominates(p, lanes, stride, len(items))
-			for mask != 0 {
-				i := bits.TrailingZeros64(mask)
-				mask &= mask - 1
-				pold = pold.Times(items[i].OneMinusP())
-			}
-			return pold
-		}
-	}
-	// The d = 2/3 arms let the inlinable dominance kernels run without an
-	// indirect call.
-	switch e.dims {
-	case 2:
-		for _, x := range items {
-			if geom.Dominates2(x.Point, p) {
-				pold = pold.Times(x.OneMinusP())
-			}
-		}
-	case 3:
-		for _, x := range items {
-			if geom.Dominates3(x.Point, p) {
-				pold = pold.Times(x.OneMinusP())
-			}
-		}
-	default:
-		for _, x := range items {
-			if e.kern.Dominates(x.Point, p) {
-				pold = pold.Times(x.OneMinusP())
-			}
-		}
+	lanes, stride := n.Block()
+	mask := e.bkern.BlockDominates(p, lanes, stride, len(items))
+	for mask != 0 {
+		i := bits.TrailingZeros64(mask)
+		mask &= mask - 1
+		pold = pold.Times(items[i].OneMinusP())
 	}
 	return pold
 }
@@ -156,48 +78,15 @@ func (e *Engine) foldLeafDominators(n *aggrtree.Node, p geom.Point, pold prob.Fa
 // expiring point, recording the hits in affI.
 func (e *Engine) leafExpireDominated(n *aggrtree.Node, band int, pt geom.Point, om prob.Factor, affI *[]itemT) bool {
 	items := n.Items()
-	if e.blockScan {
-		if lanes, stride, ok := n.Block(); ok {
-			mask := e.bkern.DominatesBlock(pt, lanes, stride, len(items))
-			hit := mask != 0
-			for mask != 0 {
-				i := bits.TrailingZeros64(mask)
-				mask &= mask - 1
-				x := items[i]
-				x.Pold = x.Pold.Over(om)
-				*affI = append(*affI, itemT{x, band})
-			}
-			return hit
-		}
+	lanes, stride := n.Block()
+	mask := e.bkern.DominatesBlock(pt, lanes, stride, len(items))
+	hit := mask != 0
+	for mask != 0 {
+		i := bits.TrailingZeros64(mask)
+		mask &= mask - 1
+		x := items[i]
+		x.Pold = x.Pold.Over(om)
+		*affI = append(*affI, itemT{x, band})
 	}
-	changed := false
-	// The d = 2/3 arms let the inlinable dominance kernels run without an
-	// indirect call.
-	switch e.dims {
-	case 2:
-		for _, x := range items {
-			if geom.Dominates2(pt, x.Point) {
-				x.Pold = x.Pold.Over(om)
-				*affI = append(*affI, itemT{x, band})
-				changed = true
-			}
-		}
-	case 3:
-		for _, x := range items {
-			if geom.Dominates3(pt, x.Point) {
-				x.Pold = x.Pold.Over(om)
-				*affI = append(*affI, itemT{x, band})
-				changed = true
-			}
-		}
-	default:
-		for _, x := range items {
-			if e.kern.Dominates(pt, x.Point) {
-				x.Pold = x.Pold.Over(om)
-				*affI = append(*affI, itemT{x, band})
-				changed = true
-			}
-		}
-	}
-	return changed
+	return hit
 }

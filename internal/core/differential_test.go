@@ -107,6 +107,12 @@ func TestDifferential(t *testing.T) {
 		{name: "3d-certain-heavy", dims: 3, window: 70, thresholds: []float64{0.5, 0.25}, n: 900, checkEvery: 11, genPoint: antiPoint, genProb: spikyProb, fanout: 4},
 		{name: "2d-low-prob", dims: 2, window: 60, thresholds: []float64{0.05}, n: 700, checkEvery: 9, genPoint: uniformPoint, genProb: lowProb},
 		{name: "3d-clustered", dims: 3, window: 70, thresholds: []float64{0.3}, n: 700, checkEvery: 9, genPoint: clusterPoint, genProb: uniformProb},
+		// d = 6 runs the generic block kernels; the unrolled ones stop at 5.
+		{name: "6d-anti", dims: 6, window: 60, thresholds: []float64{0.3}, n: 500, checkEvery: 9, genPoint: antiPoint, genProb: uniformProb},
+		// The widest fanout NewEngine accepts: full leaves of 63 items scan
+		// with every mask bit but the top one live, and an insertion's
+		// overflow item grows a leaf to 64 before its split.
+		{name: "2d-anti-fanout-63", dims: 2, window: 400, thresholds: []float64{0.5, 0.02}, n: 1600, checkEvery: 40, genPoint: antiPoint, genProb: lowProb, fanout: 63},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

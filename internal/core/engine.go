@@ -42,7 +42,9 @@ type Options struct {
 	// each in (0, 1]. They are sorted descending and deduplicated. At
 	// least one threshold is required.
 	Thresholds []float64
-	// MaxEntries is the aggregate R-tree fanout (0 selects the default).
+	// MaxEntries is the aggregate R-tree fanout: 0 selects the default (12),
+	// otherwise it must lie in [4, 63]. The upper bound keeps every leaf,
+	// overflow item included, within one 64-bit block-kernel mask.
 	MaxEntries int
 	// TrackArrivals keeps a queue of (seq, timestamp) pairs so that
 	// ExpireOlderThan can drive time-based windows. It is implied by
@@ -61,11 +63,6 @@ type Options struct {
 	// Metrics type). Recording is allocation-free; nil disables timing
 	// entirely.
 	Metrics *Metrics
-	// DisableBlockScan turns off the SoA leaf-block dominance scans and
-	// falls back to per-item pointer loops — the A/B control for the block
-	// kernels. Results are identical either way (the differential tests
-	// prove it); only the memory access pattern changes.
-	DisableBlockScan bool
 }
 
 // Event reports an element moving between threshold bands. Band indices are
@@ -113,12 +110,11 @@ type Engine struct {
 	// Hot-path machinery: dimension-specialized dominance kernels selected
 	// once at construction, and the recycling stores that make steady-state
 	// ingestion allocation-free (see arena.go and aggrtree's pools).
-	kern      *geom.Kernels
-	bkern     *geom.BlockKernels
-	blockScan bool // scan leaves through their SoA coordinate blocks
-	arena     *pointArena
-	items     *aggrtree.ItemPool
-	nodes     *aggrtree.NodePool
+	kern  *geom.Kernels
+	bkern *geom.BlockKernels
+	arena *pointArena
+	items *aggrtree.ItemPool
+	nodes *aggrtree.NodePool
 
 	maxCand   int
 	maxSky    int
@@ -179,6 +175,9 @@ func NewEngine(opt Options) (*Engine, error) {
 	if len(opt.Thresholds) == 0 {
 		return nil, fmt.Errorf("core: at least one threshold is required")
 	}
+	if me := opt.MaxEntries; me != 0 && (me < 4 || me > geom.BlockMaxItems-1) {
+		return nil, fmt.Errorf("core: MaxEntries must be 0 or in [4, %d], got %d", geom.BlockMaxItems-1, me)
+	}
 	qf := append([]float64(nil), opt.Thresholds...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(qf)))
 	dedup := qf[:1]
@@ -205,7 +204,6 @@ func NewEngine(opt Options) (*Engine, error) {
 		metrics:       opt.Metrics,
 		kern:          geom.KernelsFor(opt.Dims),
 		bkern:         geom.BlockKernelsFor(opt.Dims),
-		blockScan:     !opt.DisableBlockScan,
 		arena:         newPointArena(opt.Dims),
 		items:         aggrtree.NewItemPool(),
 		nodes:         aggrtree.NewNodePool(opt.Dims),

@@ -118,10 +118,19 @@ func TestEngineOptionValidation(t *testing.T) {
 		{Dims: 2, Window: 10, Thresholds: []float64{0}},
 		{Dims: 2, Window: 10, Thresholds: []float64{1.01}},
 		{Dims: 2, Window: 10, Thresholds: []float64{0.3, math.NaN()}},
+		{Dims: 2, Window: 10, Thresholds: []float64{0.3}, MaxEntries: -1},
+		{Dims: 2, Window: 10, Thresholds: []float64{0.3}, MaxEntries: 3},
+		{Dims: 2, Window: 10, Thresholds: []float64{0.3}, MaxEntries: 64},
 	}
 	for i, opt := range bad {
 		if _, err := NewEngine(opt); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+	// The fanout range's end points are accepted.
+	for _, me := range []int{4, 63} {
+		if _, err := NewEngine(Options{Dims: 2, Window: 10, Thresholds: []float64{0.3}, MaxEntries: me}); err != nil {
+			t.Errorf("MaxEntries %d: %v", me, err)
 		}
 	}
 	// Thresholds are sorted descending and deduplicated.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"pskyline/internal/streamgen"
@@ -130,5 +131,17 @@ func TestSnapshotTimeWindow(t *testing.T) {
 func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore(bytes.NewReader([]byte("not a snapshot")), RestoreOptions{}); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	// A checkpoint carries the fanout its engine was built with: one out of
+	// range must come back as an error, not a panic in the tree constructor.
+	for _, me := range []int{2, 64} {
+		var buf bytes.Buffer
+		s := snapshot{Version: snapshotVersion, Dims: 2, Window: 10, Thresholds: []float64{0.3}, MaxEntries: me}
+		if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(&buf, RestoreOptions{}); err == nil {
+			t.Errorf("MaxEntries %d accepted", me)
+		}
 	}
 }

@@ -10,9 +10,9 @@ package geom
 //
 // Each kernel compares a probe point against every item of a block in one
 // pass and returns the verdicts as a bitmask: bit i is set when item i
-// satisfies the relation. Blocks are therefore limited to 64 items — far
-// above any R-tree fanout this package is configured with; callers fall back
-// to the per-item kernels beyond that.
+// satisfies the relation. Blocks are therefore limited to BlockMaxItems
+// items, which is why the aggregate R-tree caps its fanout at one less: a
+// leaf holding the overflow item of an insertion still fits.
 //
 // The per-item comparisons fold boolean comparison results with integer
 // and/or instead of short-circuit chains, so the inner loops compile to

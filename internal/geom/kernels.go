@@ -2,15 +2,15 @@ package geom
 
 // Dimension-specialized dominance kernels.
 //
-// The probe descents of the skyline engine spend most of their time in four
-// primitives: point-point dominance (both directions), entry-vs-point
-// classification, point-vs-entry classification and entry-vs-entry
-// classification. The generic implementations loop over the dimensions with
-// bounds checks and flag updates; for the low dimensionalities the paper
-// evaluates (d = 2–5) a fully unrolled form with hoisted loads is
-// substantially faster. A Kernels value bundles the four primitives for one
-// dimensionality; KernelsFor selects the unrolled set for d = 2–5 and falls
-// back to the generic loops otherwise.
+// The probe descents of the skyline engine classify entries with three
+// primitives: entry-vs-point, point-vs-entry and entry-vs-entry. (Leaf items
+// are scanned by the block kernels in blocks.go.) The generic
+// implementations loop over the dimensions with bounds checks and flag
+// updates; for the low dimensionalities the paper evaluates (d = 2–5) a
+// fully unrolled form with hoisted loads is substantially faster. A Kernels
+// value bundles the three primitives for one dimensionality; KernelsFor
+// selects the unrolled set for d = 2–5 and falls back to the generic loops
+// otherwise.
 //
 // All kernels are pure comparison networks — no floating-point arithmetic —
 // so the specialized and generic forms return identical results on every
@@ -21,11 +21,6 @@ package geom
 type Kernels struct {
 	// Dims is the dimensionality the kernel set was built for.
 	Dims int
-	// Dominates reports p ≺ q.
-	Dominates func(p, q Point) bool
-	// Mutual decides both dominance directions between two points in one
-	// pass (the specialized MutualDominance).
-	Mutual func(a, b Point) (aDom, bDom bool)
 	// ClassifyPoint computes Dominance(r, {p}) and Dominance({p}, r) in one
 	// pass (the specialized ClassifyPoint).
 	ClassifyPoint func(r Rect, p Point) (dom, sub Relation)
@@ -41,24 +36,18 @@ type Kernels struct {
 func KernelsFor(dims int) *Kernels {
 	switch dims {
 	case 2:
-		return &Kernels{Dims: 2, Dominates: Dominates2, Mutual: mutual2,
-			ClassifyPoint: classifyPoint2, PointRect: pointRect2, RectRect: rectRect2}
+		return &Kernels{Dims: 2, ClassifyPoint: classifyPoint2, PointRect: pointRect2, RectRect: rectRect2}
 	case 3:
-		return &Kernels{Dims: 3, Dominates: Dominates3, Mutual: mutual3,
-			ClassifyPoint: classifyPoint3, PointRect: pointRect3, RectRect: rectRect3}
+		return &Kernels{Dims: 3, ClassifyPoint: classifyPoint3, PointRect: pointRect3, RectRect: rectRect3}
 	case 4:
-		return &Kernels{Dims: 4, Dominates: Dominates4, Mutual: mutual4,
-			ClassifyPoint: classifyPoint4, PointRect: pointRect4, RectRect: rectRect4}
+		return &Kernels{Dims: 4, ClassifyPoint: classifyPoint4, PointRect: pointRect4, RectRect: rectRect4}
 	case 5:
-		return &Kernels{Dims: 5, Dominates: Dominates5, Mutual: mutual5,
-			ClassifyPoint: classifyPoint5, PointRect: pointRect5, RectRect: rectRect5}
+		return &Kernels{Dims: 5, ClassifyPoint: classifyPoint5, PointRect: pointRect5, RectRect: rectRect5}
 	default:
-		return &Kernels{Dims: dims, Dominates: dominatesGeneric, Mutual: MutualDominance,
-			ClassifyPoint: ClassifyPoint, PointRect: PointRectRelation, RectRect: Dominance}
+		return &Kernels{Dims: dims, ClassifyPoint: ClassifyPoint,
+			PointRect: PointRectRelation, RectRect: Dominance}
 	}
 }
-
-func dominatesGeneric(p, q Point) bool { return p.Dominates(q) }
 
 // PointRectRelation computes Dominance(PointRect(p), r) in a single pass:
 // DomFull when p dominates r.Min, DomPartial when p only dominates r.Max,
@@ -91,10 +80,8 @@ func PointRectRelation(p Point, r Rect) Relation {
 	return DomNone
 }
 
-// Dominates2..Dominates5 are the dimension-specialized dominance tests,
-// exported so hot loops that already know their dimensionality can call
-// them directly (the d ≤ 3 variants inline); KernelsFor wires the same
-// functions into the dispatch table.
+// Dominates2..Dominates5 are the dimension-specialized dominance tests: the
+// building blocks of the unrolled entry-vs-entry kernels (rectRect2..5).
 
 // Dominates2 reports p ≺ q for 2-dimensional points.
 func Dominates2(p, q Point) bool {
@@ -126,42 +113,6 @@ func Dominates5(p, q Point) bool {
 	q0, q1, q2, q3, q4 := q[0], q[1], q[2], q[3], q[4]
 	return p0 <= q0 && p1 <= q1 && p2 <= q2 && p3 <= q3 && p4 <= q4 &&
 		(p0 < q0 || p1 < q1 || p2 < q2 || p3 < q3 || p4 < q4)
-}
-
-// The mutual kernels use aDom = aLE && !bLE (a ⪯ b everywhere and the points
-// are not equal), mirroring MutualDominance's aLE && aLT.
-
-func mutual2(a, b Point) (bool, bool) {
-	a0, a1 := a[0], a[1]
-	b0, b1 := b[0], b[1]
-	aLE := a0 <= b0 && a1 <= b1
-	bLE := b0 <= a0 && b1 <= a1
-	return aLE && !bLE, bLE && !aLE
-}
-
-func mutual3(a, b Point) (bool, bool) {
-	_, _ = a[2], b[2] // bounds-check hint
-	a0, a1, a2 := a[0], a[1], a[2]
-	b0, b1, b2 := b[0], b[1], b[2]
-	aLE := a0 <= b0 && a1 <= b1 && a2 <= b2
-	bLE := b0 <= a0 && b1 <= a1 && b2 <= a2
-	return aLE && !bLE, bLE && !aLE
-}
-
-func mutual4(a, b Point) (bool, bool) {
-	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-	aLE := a0 <= b0 && a1 <= b1 && a2 <= b2 && a3 <= b3
-	bLE := b0 <= a0 && b1 <= a1 && b2 <= a2 && b3 <= a3
-	return aLE && !bLE, bLE && !aLE
-}
-
-func mutual5(a, b Point) (bool, bool) {
-	a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
-	b0, b1, b2, b3, b4 := b[0], b[1], b[2], b[3], b[4]
-	aLE := a0 <= b0 && a1 <= b1 && a2 <= b2 && a3 <= b3 && a4 <= b4
-	bLE := b0 <= a0 && b1 <= a1 && b2 <= a2 && b3 <= a3 && b4 <= a4
-	return aLE && !bLE, bLE && !aLE
 }
 
 // The unrolled classifiers compare p against each rect corner only twice per

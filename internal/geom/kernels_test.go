@@ -38,12 +38,29 @@ func randRect(rng *rand.Rand, dims int, sample func(*rand.Rand, int) Point) Rect
 	return r
 }
 
+// dominatesFor returns the unrolled point-dominance test for d = 2–5 (the
+// building blocks of the unrolled RectRect kernels), nil otherwise.
+func dominatesFor(dims int) func(p, q Point) bool {
+	switch dims {
+	case 2:
+		return Dominates2
+	case 3:
+		return Dominates3
+	case 4:
+		return Dominates4
+	case 5:
+		return Dominates5
+	}
+	return nil
+}
+
 func TestKernelsMatchGeneric(t *testing.T) {
 	for dims := 1; dims <= 7; dims++ {
 		k := KernelsFor(dims)
 		if k.Dims != dims {
 			t.Fatalf("KernelsFor(%d).Dims = %d", dims, k.Dims)
 		}
+		dominates := dominatesFor(dims)
 		rng := rand.New(rand.NewSource(int64(100 + dims)))
 		for iter := 0; iter < 20_000; iter++ {
 			sample := densePoint
@@ -54,13 +71,10 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			if iter%7 == 0 {
 				q = p.Clone() // force exact equality
 			}
-			if got, want := k.Dominates(p, q), p.Dominates(q); got != want {
-				t.Fatalf("d=%d Dominates(%v, %v) = %v, want %v", dims, p, q, got, want)
-			}
-			gotA, gotB := k.Mutual(p, q)
-			wantA, wantB := MutualDominance(p, q)
-			if gotA != wantA || gotB != wantB {
-				t.Fatalf("d=%d Mutual(%v, %v) = %v,%v want %v,%v", dims, p, q, gotA, gotB, wantA, wantB)
+			if dominates != nil {
+				if got, want := dominates(p, q), p.Dominates(q); got != want {
+					t.Fatalf("d=%d Dominates%d(%v, %v) = %v, want %v", dims, dims, p, q, got, want)
+				}
 			}
 
 			r := randRect(rng, dims, sample)
@@ -110,13 +124,8 @@ func TestKernelsExhaustive2D(t *testing.T) {
 	}
 	for _, p := range pts {
 		for _, q := range pts {
-			if got, want := k.Dominates(p, q), p.Dominates(q); got != want {
-				t.Fatalf("Dominates(%v, %v) = %v, want %v", p, q, got, want)
-			}
-			gotA, gotB := k.Mutual(p, q)
-			wantA, wantB := MutualDominance(p, q)
-			if gotA != wantA || gotB != wantB {
-				t.Fatalf("Mutual(%v, %v) = %v,%v want %v,%v", p, q, gotA, gotB, wantA, wantB)
+			if got, want := Dominates2(p, q), p.Dominates(q); got != want {
+				t.Fatalf("Dominates2(%v, %v) = %v, want %v", p, q, got, want)
 			}
 		}
 		for _, r := range rects {
@@ -155,26 +164,6 @@ func BenchmarkMutualGeneric(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a, c := pts[i%1024], pts[(i*31+7)%1024]
 		x, y := MutualDominance(a, c)
-		if x {
-			sink++
-		}
-		if y {
-			sink--
-		}
-	}
-	if sink > b.N {
-		b.Fatal("impossible")
-	}
-}
-
-func BenchmarkMutualKernel3(b *testing.B) {
-	k := KernelsFor(3)
-	pts := benchPoints(3, 1024)
-	b.ResetTimer()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		a, c := pts[i%1024], pts[(i*31+7)%1024]
-		x, y := k.Mutual(a, c)
 		if x {
 			sink++
 		}

@@ -1,13 +1,13 @@
 // Package obs is the operator's allocation-free observability core: atomic
 // counters and gauges, fixed-bucket log2 latency histograms, and a metric
-// registry that renders Prometheus text format and expvar-style JSON.
+// registry that renders the Prometheus text format.
 //
 // Everything on the recording side — Counter.Add, Gauge.Set,
 // Histogram.Record — is a handful of atomic operations into fixed storage:
 // no allocation, no locks, no map lookups. That is what lets the skyline
 // engine's steady-state ingestion path stay at 0 allocs/op with metrics
 // enabled (the pinned TestSteadyStatePushAllocs budget). The reading side
-// (Snapshot, the exporters) allocates freely; it runs on scrape requests,
+// (Snapshot, the exporter) allocates freely; it runs on scrape requests,
 // not in the hot path.
 //
 // Concurrency model: SINGLE WRITER, lock-free readers — the same contract

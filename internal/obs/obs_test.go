@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -306,37 +305,3 @@ var errBadInt = errorString("bad int")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	var c Counter
-	c.Add(3)
-	var h Histogram
-	h.Record(time.Microsecond)
-	r.RegisterCounter("ops", "Ops.", &c)
-	r.RegisterHistogram("lat", "Latency.", &h, Label{"stage", "x"})
-	r.RegisterHistogram("lat", "Latency.", &Histogram{}, Label{"stage", "y"})
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if m["ops"] != 3.0 {
-		t.Errorf("ops = %v", m["ops"])
-	}
-	lat, ok := m["lat"].(map[string]any)
-	if !ok {
-		t.Fatalf("lat = %T", m["lat"])
-	}
-	x, ok := lat[`stage=x`].(map[string]any)
-	if !ok {
-		t.Fatalf("lat[stage=x] = %v", lat)
-	}
-	if x["count"] != 1.0 {
-		t.Errorf("lat count = %v", x["count"])
-	}
-}

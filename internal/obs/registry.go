@@ -1,15 +1,11 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Registry is an ordered collection of named metric families for export.
 // Registration happens at construction time (it allocates and is not
 // synchronized with itself); after that the registry is immutable and the
-// exporters may run concurrently with recording from any goroutine.
+// exporter may run concurrently with recording from any goroutine.
 //
 // A family is one metric name with HELP/TYPE metadata; labeled series
 // registered under the same name join the existing family, so a stage
@@ -104,19 +100,4 @@ func (s series) value() float64 {
 		return s.fn()
 	}
 	return 0
-}
-
-// labelKey renders the series labels as a stable sorted key ("" when the
-// series is unlabeled).
-func (s series) labelKey() string {
-	if len(s.labels) == 0 {
-		return ""
-	}
-	ls := append([]Label(nil), s.labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	parts := make([]string, len(ls))
-	for i, l := range ls {
-		parts[i] = l.Key + "=" + l.Value
-	}
-	return strings.Join(parts, ",")
 }

@@ -412,10 +412,3 @@ func (m *Monitor) Metrics() Metrics {
 func (m *Monitor) WritePrometheus(w io.Writer) error {
 	return m.reg.WritePrometheus(w)
 }
-
-// WriteMetricsJSON renders the same metrics as one expvar-style JSON
-// object (histograms as {count, mean_ns, p50_ns, ...} summaries with raw
-// log2 buckets). Lock-free, like WritePrometheus.
-func (m *Monitor) WriteMetricsJSON(w io.Writer) error {
-	return m.reg.WriteJSON(w)
-}

@@ -2,7 +2,6 @@ package pskyline_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"slices"
 	"sort"
@@ -156,20 +155,6 @@ func TestMonitorExporters(t *testing.T) {
 		}
 	}
 
-	var jsBuf bytes.Buffer
-	if err := m.WriteMetricsJSON(&jsBuf); err != nil {
-		t.Fatal(err)
-	}
-	var js map[string]any
-	if err := json.Unmarshal(jsBuf.Bytes(), &js); err != nil {
-		t.Fatalf("WriteMetricsJSON produced invalid JSON: %v", err)
-	}
-	if v, ok := js["pskyline_pushes_total"].(float64); !ok || v != 1000 {
-		t.Errorf("JSON pskyline_pushes_total = %v, want 1000", js["pskyline_pushes_total"])
-	}
-	if _, ok := js["pskyline_stage_seconds"]; !ok {
-		t.Error("JSON output missing pskyline_stage_seconds")
-	}
 }
 
 // typeLines returns the sorted "# TYPE <name> <type>" lines of a Prometheus

@@ -104,8 +104,6 @@ type Options struct {
 	// thresholds q_1 > … > q_k (MSKY when more than one). Ad-hoc queries
 	// accept any q' ≥ q_k. At least one threshold is required.
 	Thresholds []float64
-	// MaxEntries overrides the aggregate R-tree fanout (0 = default).
-	MaxEntries int
 	// OnEnter and OnLeave, if set, are called during Push whenever an
 	// element enters or leaves the q_1-skyline. Callbacks run while the
 	// Monitor's lock is held: they must not call back into the Monitor.
@@ -274,7 +272,6 @@ func newMonitorCore(opt Options) (*Monitor, error) {
 		Dims:          opt.Dims,
 		Window:        opt.Window,
 		Thresholds:    opt.Thresholds,
-		MaxEntries:    opt.MaxEntries,
 		TrackArrivals: opt.shard != nil,
 		OnChange:      m.onChange,
 		Metrics:       &m.met.eng,

@@ -220,8 +220,11 @@ func ParseStreamSpecs(specs string) ([]StreamConfig, error) {
 }
 
 // Operator is the interface shared by *Monitor and *ShardedMonitor: one
-// logical stream's write path, query surface and operational controls. It is
-// what multi-tenant hosts (StreamRegistry, serve mode) program against.
+// logical stream's write path, its read surface and its operational
+// controls. It is what multi-tenant hosts (StreamRegistry, serve mode)
+// program against. Every read goes through View: a reader that answers
+// from one view answers from one consistent state, so a skyline and the
+// stream position reported beside it always agree.
 type Operator interface {
 	Push(e Element) (uint64, error)
 	PushBatch(es []Element) (uint64, error)
@@ -229,11 +232,6 @@ type Operator interface {
 	Close() error
 
 	View() *View
-	Skyline() []SkyPoint
-	Query(qPrime float64) ([]SkyPoint, error)
-	TopK(k int, minQ float64) ([]SkyPoint, error)
-	Thresholds() []float64
-	Stats() Stats
 	AddThreshold(q float64) error
 	RemoveThreshold(q float64) error
 
@@ -241,7 +239,6 @@ type Operator interface {
 	Recovery() RecoveryInfo
 	WALState() wal.State
 	WritePrometheus(w io.Writer) error
-	WriteMetricsJSON(w io.Writer) error
 	Flight() FlightInfo
 }
 
@@ -387,10 +384,4 @@ func (r *StreamRegistry) CloseAll() error {
 // shard) in the Prometheus text exposition format.
 func (r *StreamRegistry) WritePrometheus(w io.Writer) error {
 	return r.obs.WritePrometheus(w)
-}
-
-// WriteMetricsJSON renders every stream's metrics as one expvar-style JSON
-// object.
-func (r *StreamRegistry) WriteMetricsJSON(w io.Writer) error {
-	return r.obs.WriteJSON(w)
 }

@@ -156,7 +156,7 @@ func TestStreamRegistry(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		op.Drain()
-		if got := op.Stats().Processed; got != 120 {
+		if got := op.View().Stats().Processed; got != 120 {
 			t.Errorf("%s processed = %d", name, got)
 		}
 	}
@@ -204,7 +204,7 @@ func TestStreamRegistry(t *testing.T) {
 	if !op.Recovery().Recovered {
 		t.Error("durable stream did not recover")
 	}
-	if got := op.Stats().Processed; got != 120 {
+	if got := op.View().Stats().Processed; got != 120 {
 		t.Errorf("recovered processed = %d, want 120", got)
 	}
 	if err := reg2.CloseAll(); err != nil {

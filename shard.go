@@ -341,7 +341,10 @@ func (s *ShardedMonitor) Close() error {
 // View returns a consistent merged snapshot over all shards. With one shard
 // it is the shard's own published view; otherwise the per-shard candidate
 // views are merged through the canonical cross-shard recomputation (cached
-// until any shard publishes again). Never nil, never blocks the writers.
+// until any shard publishes again). Its queries have the semantics of a
+// single Monitor's; its Stats carry the merged current sizes and the peak
+// merged sizes, sampled when views are merged, not continuously. Never nil,
+// never blocks the writers.
 func (s *ShardedMonitor) View() *View {
 	if len(s.shards) == 1 {
 		return s.shards[0].View()
@@ -382,30 +385,6 @@ func maxAtomic(a *atomic.Int64, v int64) {
 		}
 	}
 }
-
-// Skyline returns the merged q_1-skyline, Query the merged ad-hoc answer,
-// TopK the merged top-k — all against one consistent merged snapshot, with
-// the same semantics as the Monitor methods of the same names.
-func (s *ShardedMonitor) Skyline() []SkyPoint { return s.View().Skyline() }
-
-// Query answers an ad-hoc skyline query at threshold q' ≥ q_k against the
-// merged snapshot.
-func (s *ShardedMonitor) Query(qPrime float64) ([]SkyPoint, error) {
-	return s.View().Query(qPrime)
-}
-
-// TopK returns the k merged candidates with the highest skyline
-// probabilities among those with Psky ≥ minQ, in descending order.
-func (s *ShardedMonitor) TopK(k int, minQ float64) ([]SkyPoint, error) {
-	return s.View().TopK(k, minQ)
-}
-
-// Thresholds returns the maintained thresholds, sorted descending.
-func (s *ShardedMonitor) Thresholds() []float64 { return s.View().Thresholds() }
-
-// Stats returns merged current sizes and the peak MERGED sizes observed at
-// merge points (peaks are sampled when views are merged, not continuously).
-func (s *ShardedMonitor) Stats() Stats { return s.View().Stats() }
 
 // AddThreshold begins maintaining an additional threshold on every shard.
 func (s *ShardedMonitor) AddThreshold(q float64) error {
@@ -468,12 +447,6 @@ func (s *ShardedMonitor) Recovery() RecoveryInfo { return s.rec }
 // in the Prometheus text exposition format.
 func (s *ShardedMonitor) WritePrometheus(w io.Writer) error {
 	return s.reg.WritePrometheus(w)
-}
-
-// WriteMetricsJSON renders every shard's metric series as one expvar-style
-// JSON object.
-func (s *ShardedMonitor) WriteMetricsJSON(w io.Writer) error {
-	return s.reg.WriteJSON(w)
 }
 
 // WALState returns the worst durability health state across shards.

@@ -162,7 +162,7 @@ func TestShardedDifferential(t *testing.T) {
 						t.Fatalf("merged sharded state differs from oracle (%d vs %d bytes)", len(got), len(want))
 					}
 					// The public query surface answers from the same merge.
-					gotSky := s.Skyline()
+					gotSky := s.View().Skyline()
 					wantSky := oracle.Skyline()
 					if len(gotSky) != len(wantSky) {
 						t.Fatalf("Skyline() size %d, oracle %d", len(gotSky), len(wantSky))
@@ -397,7 +397,7 @@ func TestShardedTheoryGauges(t *testing.T) {
 			t.Errorf("shard %d skyline %d > candidates %d", i, met.Stats.Skyline, met.Stats.Candidates)
 		}
 	}
-	st := s.Stats()
+	st := s.View().Stats()
 	if st.Skyline > st.Candidates || st.Candidates > 200 {
 		t.Errorf("merged sizes implausible: %+v", st)
 	}
@@ -432,7 +432,7 @@ func TestShardedAsyncGlobalSeqs(t *testing.T) {
 		}
 	}
 	s.Drain()
-	if got := s.Stats().Processed; got != 500 {
+	if got := s.View().Stats().Processed; got != 500 {
 		t.Fatalf("processed = %d after drain", got)
 	}
 }
@@ -592,18 +592,18 @@ func TestShardedConcurrentReaders(t *testing.T) {
 				if v.Processed() > 0 && v.NumCandidates() == 0 && v.Processed() < 10 {
 					continue // tiny windows may legitimately be empty
 				}
-				sky := s.Skyline()
+				sky := s.View().Skyline()
 				for i := 1; i < len(sky); i++ {
 					if sky[i-1].Psky < sky[i].Psky {
 						t.Error("skyline out of order in concurrent read")
 						return
 					}
 				}
-				if _, err := s.Query(0.5); err != nil {
+				if _, err := s.View().Query(0.5); err != nil {
 					t.Errorf("query: %v", err)
 					return
 				}
-				s.Stats()
+				s.View().Stats()
 			}
 		}()
 	}
@@ -625,7 +625,7 @@ func TestShardedConcurrentReaders(t *testing.T) {
 	s.Drain()
 	close(stop)
 	wg.Wait()
-	if got := s.Stats().Processed; got != 4000 {
+	if got := s.View().Stats().Processed; got != 4000 {
 		t.Fatalf("processed = %d, want 4000", got)
 	}
 }

@@ -109,10 +109,11 @@ func readSnapshotHeader(r io.Reader) error {
 // monitor that continues exactly where the snapshotted one stopped. opt is
 // checked against the checkpoint exactly as Open checks it: Dims, Window or
 // Period and the thresholds (as a set) must be those of the snapshotted
-// monitor, and MaxEntries is taken from the checkpoint. The rest of opt —
-// callbacks, continuous top-k, the async queue, latency tracking —
-// configures the restored monitor. A durable monitor is reopened with Open,
-// so opt.Durability.Dir must be empty.
+// monitor, and the R-tree fanout is the one the checkpoint records (one out
+// of range is an error). The rest of opt — callbacks, continuous top-k, the
+// async queue, latency tracking — configures the restored monitor. A
+// durable monitor is reopened with Open, so opt.Durability.Dir must be
+// empty.
 func RestoreMonitor(r io.Reader, opt Options) (*Monitor, error) {
 	if opt.Durability.Dir != "" {
 		return nil, errors.New("pskyline: RestoreMonitor does not take Durability.Dir: reopen a durable directory with Open")
